@@ -5,8 +5,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The benchmark is its own module (repro/benchmark), invisible to the root
+# ./...; vetting it compiles it against the daemon/store/campaign/bench
+# APIs it imports, so an API break fails here, not at benchmark time.
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 
 test:
 	$(GO) test ./...

@@ -12,7 +12,8 @@
 //	attackbench -json attacks.json     # machine-readable artifact
 //	attackbench -parallel 4            # cells fan out across a farm
 //
-// Every cell is an independent deterministic simulation, so the JSON
+// The run goes through daemon.Execute, the same path simd serves. Every
+// cell is an independent deterministic simulation, so the JSON
 // artifact is byte-identical at any -parallel setting and is
 // regression-gated in CI with cmd/benchdiff against
 // ci/attack-baseline.json (`make attack-smoke`): any cell flip — a
@@ -20,15 +21,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/campaign"
-	"repro/internal/report"
+	"repro/internal/daemon"
 )
 
 type options struct {
@@ -40,58 +40,41 @@ type options struct {
 	quiet    bool
 }
 
-func splitList(s string) []string {
-	if s == "" || s == "all" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
 func run(opts options, stdout, stderr io.Writer) error {
-	cfg := campaign.MatrixConfig{
-		Seed:     opts.seed,
-		Payloads: splitList(opts.payloads),
-		Systems:  splitList(opts.systems),
-	}
-	if opts.parallel != 1 {
-		farm := bench.NewFarm(opts.parallel)
-		defer farm.Close()
-		cfg.Farm = farm
-	}
-	tb, results, err := campaign.Matrix(cfg)
+	spec, err := daemon.RunSpec{Tool: "attackbench", Seed: opts.seed,
+		Payloads: opts.payloads, Systems: opts.systems}.Normalize()
 	if err != nil {
 		return err
 	}
-	systems := cfg.Systems
-	if len(systems) == 0 {
-		systems = bench.ExtendedSystems
+	var farm *bench.Farm
+	if opts.parallel != 1 {
+		farm = bench.NewFarm(opts.parallel)
+		defer farm.Close()
 	}
+	res, err := daemon.Execute(context.Background(), farm, spec)
+	if err != nil {
+		return err
+	}
+	tb := res.Tables[0]
 	if !opts.quiet {
 		fmt.Fprintln(stdout, tb.String())
+		systems := tb.Columns[1:] // the matrix columns after "payload"
 		breaches := make(map[string]int)
-		for i, r := range results {
+		for i, r := range res.Cells {
 			if r.Success {
 				breaches[systems[i%len(systems)]]++
 			}
 		}
 		for _, sys := range systems {
 			fmt.Fprintf(stdout, "%-10s breached by %d/%d payloads\n",
-				sys, breaches[sys], len(results)/len(systems))
+				sys, breaches[sys], len(res.Cells)/len(systems))
 		}
 	}
 	if opts.jsonOut != "" {
-		art := report.New("attackbench", campaign.CellWindowMs, nil)
-		art.Add(tb.Experiment())
-		if err := art.WriteFile(opts.jsonOut); err != nil {
+		if err := res.Artifact.WriteFile(opts.jsonOut); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "attackbench: wrote %s (%d cells)\n", opts.jsonOut, len(results))
+		fmt.Fprintf(stderr, "attackbench: wrote %s (%d cells)\n", opts.jsonOut, len(res.Cells))
 	}
 	return nil
 }

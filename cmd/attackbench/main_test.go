@@ -4,23 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
-
-func TestSplitList(t *testing.T) {
-	if got := splitList("all"); got != nil {
-		t.Errorf("splitList(all) = %v, want nil", got)
-	}
-	if got := splitList(""); got != nil {
-		t.Errorf("splitList(\"\") = %v, want nil", got)
-	}
-	want := []string{"strict", "copy"}
-	if got := splitList(" strict , copy "); !reflect.DeepEqual(got, want) {
-		t.Errorf("splitList = %v, want %v", got, want)
-	}
-}
 
 func TestRunSubsetWritesArtifact(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "attacks.json")

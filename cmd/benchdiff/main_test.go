@@ -3,6 +3,9 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,6 +44,51 @@ func TestSpecFromArtifact(t *testing.T) {
 
 	if _, err := specFromArtifact(art("netbench", 1), 0); err == nil {
 		t.Error("unmapped tool accepted")
+	}
+}
+
+// TestSpecFromArtifactRoundTripsBaselines: for every committed gate, the
+// normalized daemon spec names exactly the baseline's experiments (or
+// scenarios), so benchdiff -watch regenerates what the baseline holds.
+func TestSpecFromArtifactRoundTripsBaselines(t *testing.T) {
+	paths, err := filepath.Glob("../../ci/*.json")
+	if err != nil || len(paths) != 5 {
+		t.Fatalf("want the 5 ci baselines, got %v (%v)", paths, err)
+	}
+	for _, p := range paths {
+		base, err := report.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := specFromArtifact(base, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		n, err := spec.Normalize()
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		var want, got []string
+		for _, e := range base.Experiments {
+			if e.Name != "farm" {
+				want = append(want, strings.TrimPrefix(e.Name, "chaos-"))
+			}
+		}
+		switch n.Tool {
+		case "reproduce":
+			got = strings.Split(n.Experiments, ",")
+			sort.Strings(want)
+		case "chaosbench":
+			got = strings.Split(n.Scenarios, ",")
+		case "attackbench":
+			got, want = []string{n.Payloads, n.Systems}, []string{"all", "all"}
+		case "tenantbench":
+			got = []string{n.Schemes, n.Attacks, n.Tenants, n.Frames}
+			want = []string{"all", "all", "all", "all"}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: normalized %s spec names %v, baseline holds %v", p, n.Tool, got, want)
+		}
 	}
 }
 
@@ -90,4 +138,3 @@ func TestWatchLoopAgainstDaemon(t *testing.T) {
 	}
 	watchLoop(baseline, sock, 0, 2, 1, report.DiffOptions{Tol: 0.1}, true)
 }
-

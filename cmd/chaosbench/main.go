@@ -9,23 +9,22 @@
 //	chaosbench -json chaos.json        # machine-readable artifact
 //	chaosbench -parallel 4             # variants fan out across a farm
 //
-// Every scenario is deterministic for a given seed — the farm changes
-// when variants run, never their numbers (doc/FARM.md) — so the JSON
+// The run goes through daemon.Execute, the same path simd serves. Every
+// scenario is deterministic for a given seed — the farm changes when
+// variants run, never their numbers (doc/FARM.md) — so the JSON
 // artifact is regression-gated in CI with cmd/benchdiff against
 // ci/chaos-baseline.json (`make chaos-smoke`).
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strings"
-	"sync"
 
 	"repro/internal/bench"
-	"repro/internal/chaos"
-	"repro/internal/report"
+	"repro/internal/daemon"
 )
 
 func main() {
@@ -39,63 +38,29 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress the text tables")
 	flag.Parse()
 
-	cfg := chaos.Config{Seed: *seed, WindowMs: *window, Cores: *cores, System: *system}
+	spec, err := daemon.RunSpec{Tool: "chaosbench", Seed: *seed, WindowMs: *window,
+		Cores: *cores, System: *system, Scenarios: *scenarios}.Normalize()
+	if err != nil {
+		log.Fatalf("chaosbench: %v", err)
+	}
+	var farm *bench.Farm
 	if *parallel != 1 {
-		farm := bench.NewFarm(*parallel)
+		farm = bench.NewFarm(*parallel)
 		defer farm.Close()
-		cfg.Farm = farm
 	}
-
-	var run []chaos.Scenario
-	if *scenarios == "all" {
-		run = chaos.Scenarios
-	} else {
-		for _, name := range strings.Split(*scenarios, ",") {
-			s, err := chaos.Find(strings.TrimSpace(name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			run = append(run, s)
-		}
+	res, err := daemon.Execute(context.Background(), farm, spec)
+	if err != nil {
+		log.Fatalf("chaosbench: %v", err)
 	}
-
-	// Scenarios run on coordinator goroutines sharing the one farm; the
-	// tables land in scenario order so output and artifact are identical
-	// at every -parallel setting.
-	tables := make([]*bench.Table, len(run))
-	errs := make([]error, len(run))
-	var wg sync.WaitGroup
-	for i, s := range run {
-		i, s := i, s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t, err := s.Run(cfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %v", s.Name, err)
-				return
-			}
-			tables[i] = t
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			log.Fatalf("chaosbench: %v", err)
-		}
-	}
-
-	art := report.New("chaosbench", *window, cfg.Costs)
-	for _, t := range tables {
-		if !*quiet {
+	if !*quiet {
+		for _, t := range res.Tables {
 			fmt.Println(t.String())
 		}
-		art.Add(t.Experiment())
 	}
 	if *jsonOut != "" {
-		if err := art.WriteFile(*jsonOut); err != nil {
+		if err := res.Artifact.WriteFile(*jsonOut); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "chaosbench: wrote %s (%d experiments)\n", *jsonOut, len(art.Experiments))
+		fmt.Fprintf(os.Stderr, "chaosbench: wrote %s (%d experiments)\n", *jsonOut, len(res.Artifact.Experiments))
 	}
 }

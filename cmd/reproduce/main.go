@@ -1,6 +1,7 @@
 // Command reproduce regenerates the paper's ENTIRE evaluation — every
 // table and figure, the attack matrix, the memory measurement — plus this
-// reproduction's extension studies, as one self-contained report. Every
+// reproduction's extension studies, as one self-contained report. The
+// run goes through daemon.Execute, the same path simd serves. Every
 // section's individual data points fan out across one shared bench.Farm
 // (bounded by -parallel); the printed report order and every number are
 // unchanged at any worker count (see doc/FARM.md).
@@ -30,11 +31,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
-	"strings"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/daemon"
 	"repro/internal/prof"
@@ -62,8 +60,13 @@ func main() {
 	daemonSock := flag.String("daemon", "", "request the artifact from a running simd daemon at this unix socket instead of computing in-process")
 	flag.Parse()
 
+	spec, err := daemon.RunSpec{Tool: "reproduce", WindowMs: *window,
+		SkipSensitivity: *skipSensitivity, Experiments: *experiment}.Normalize()
+	if err != nil {
+		log.Fatalf("reproduce: %v", err)
+	}
 	if *daemonSock != "" {
-		runViaDaemon(*daemonSock, *window, *skipSensitivity, *experiment, *timeout, *jsonOut)
+		runViaDaemon(*daemonSock, spec, *timeout, *jsonOut)
 		return
 	}
 
@@ -89,62 +92,12 @@ func main() {
 
 	farm := bench.NewFarm(*parallel)
 	defer farm.Close()
-	opt := bench.Options{WindowMs: *window, Farm: farm.WithContext(ctx)}
 	start := time.Now()
 
-	sections := bench.Suite(!*skipSensitivity)
-	runTable1 := true
-	if *experiment != "all" {
-		want := map[string]bool{}
-		for _, n := range strings.Split(*experiment, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				want[n] = true
-			}
-		}
-		runTable1 = want["table1"]
-		delete(want, "table1")
-		var filtered []bench.Section
-		for _, s := range sections {
-			if want[s.Name] {
-				filtered = append(filtered, s)
-				delete(want, s.Name)
-			}
-		}
-		if len(want) > 0 {
-			var unknown []string
-			for n := range want {
-				unknown = append(unknown, n)
-			}
-			sort.Strings(unknown)
-			var known []string
-			for _, s := range bench.Suite(true) {
-				known = append(known, s.Name)
-			}
-			log.Fatalf("reproduce: unknown experiment(s) %s (have: table1,%s)",
-				strings.Join(unknown, ","), strings.Join(known, ","))
-		}
-		sections = filtered
-	}
-
 	fmt.Println("Reproduction report: True IOMMU Protection from DMA Attacks (ASPLOS'16)")
-	fmt.Printf("window: %.0f simulated ms per data point\n\n", *window)
+	fmt.Printf("window: %.0f simulated ms per data point\n\n", spec.WindowMs)
 
-	// Table 1 (attacks + its own benchmarks) runs concurrently with the
-	// figure sections; security still leads the printed report.
-	type table1Out struct {
-		rows []attack.Table1Row
-		tbl  *bench.Table
-		err  error
-	}
-	t1ch := make(chan table1Out, 1)
-	if runTable1 {
-		go func() {
-			rows, tbl, err := attack.Table1(*window)
-			t1ch <- table1Out{rows, tbl, err}
-		}()
-	}
-
-	tables, err := bench.RunSuite(sections, opt, *parallel)
+	res, err := daemon.Execute(ctx, farm, spec)
 	if err != nil {
 		// The completed sections are still worth a record when a long run
 		// dies near the end: write them as a partial diagnostic artifact.
@@ -155,11 +108,9 @@ func main() {
 		} else {
 			log.Printf("reproduce: %v", err)
 		}
-		if *jsonOut != "" {
+		if *jsonOut != "" && res != nil {
 			path := artifactPath(*jsonOut)
-			a := bench.Artifact("reproduce", *window, nil, tables)
-			a.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-			if werr := a.WriteFile(path); werr != nil {
+			if werr := res.Artifact.WriteFile(path); werr != nil {
 				log.Printf("reproduce: writing partial artifact: %v", werr)
 			} else {
 				fmt.Fprintf(os.Stderr, "reproduce: partial diagnostic artifact written to %s\n", path)
@@ -167,63 +118,42 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	var t1 table1Out
-	if runTable1 {
-		t1 = <-t1ch
-		if t1.err != nil {
-			log.Fatal(t1.err)
-		}
-		fmt.Println(t1.tbl)
-	}
-	for _, t := range tables {
+	for _, t := range res.Tables {
 		fmt.Println(t)
 	}
+	a := res.Artifact
 	if *cycleReport {
-		cts, err := bench.CycleReport(bench.Options{WindowMs: *window})
+		cts, err := bench.CycleReport(bench.Options{WindowMs: spec.WindowMs})
 		if err != nil {
 			log.Fatalf("cycle report: %v", err)
 		}
+		// The cycle tables precede the farm table, which closes the artifact.
+		farmExp := a.Experiments[len(a.Experiments)-1]
+		a.Experiments = a.Experiments[:len(a.Experiments)-1]
 		for _, t := range cts {
 			fmt.Println(t)
-			tables = append(tables, t)
+			a.Add(t.Experiment())
 		}
+		a.Add(farmExp)
 	}
 	if *traceFile != "" {
 		cfg := bench.DefaultConfig(bench.SysLinuxStrict, bench.RX, 16, 1500)
-		cfg.WindowMs = *window
+		cfg.WindowMs = spec.WindowMs
 		if _, err := bench.WriteTrace(cfg, *traceFile); err != nil {
 			log.Fatalf("trace: %v", err)
 		}
 		fmt.Printf("Chrome trace written to %s (load at https://ui.perfetto.dev)\n\n", *traceFile)
 	}
-	// Farm scheduling stats go to stderr for humans, and into the artifact
-	// as diff-exempt farm.* metrics (report.Diff ignores them, like
-	// wall_*/host_*) so a stored artifact records how it was produced.
+	// Farm scheduling stats go to stderr for humans; the artifact carries
+	// them as diff-exempt farm.* metrics.
 	fs := farm.Stats()
-	var util float64
-	for _, u := range fs.UtilPct {
-		util += u
-	}
-	if len(fs.UtilPct) > 0 {
-		util /= float64(len(fs.UtilPct))
-	}
 	fmt.Fprintf(os.Stderr, "farm: %d workers, %d points, %d steals, queue hwm %d, mean util %.0f%%, wall %s\n",
-		fs.Workers, fs.Executed, fs.Steals, fs.QueueHWM, util,
+		fs.Workers, fs.Executed, fs.Steals, fs.QueueHWM, fs.MeanUtilPct(),
 		time.Since(start).Round(time.Millisecond))
 	fmt.Printf("report complete in %s (wall clock)\n", time.Since(start).Round(time.Second))
 
 	if *jsonOut != "" {
 		path := artifactPath(*jsonOut)
-		all := tables
-		if runTable1 {
-			all = append([]*bench.Table{t1.tbl}, tables...)
-		}
-		all = append(all, bench.FarmTable(fs))
-		a := bench.Artifact("reproduce", *window, nil, all)
-		a.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-		if runTable1 {
-			a.Attacks = attack.Verdicts(t1.rows)
-		}
 		if err := a.WriteFile(path); err != nil {
 			log.Fatalf("writing artifact: %v", err)
 		}
@@ -234,14 +164,9 @@ func main() {
 // runViaDaemon delegates the whole run to a simd daemon. The daemon
 // computes with its warm farm (or serves the memoized artifact when the
 // same binary already ran this spec) and returns the identical
-// internal/report artifact the in-process path would have written.
-func runViaDaemon(socket string, window float64, skipSensitivity bool, experiment string, timeout time.Duration, jsonOut string) {
-	spec := daemon.RunSpec{
-		Tool:            "reproduce",
-		WindowMs:        window,
-		SkipSensitivity: skipSensitivity,
-		Experiments:     experiment,
-	}
+// internal/report artifact the in-process path would have written, for
+// the same normalized spec.
+func runViaDaemon(socket string, spec daemon.RunSpec, timeout time.Duration, jsonOut string) {
 	c := &daemon.Client{Socket: socket}
 	start := time.Now()
 	// noDegrade: the caller asked for the real report, never a preview.

@@ -13,7 +13,8 @@
 //	tenantbench -tenants 16,256,1024 -frames 1500,256,128
 //	tenantbench -parallel 4 -json tenants.json
 //
-// Every cell is an independent deterministic simulation, so the JSON
+// The run goes through daemon.Execute, the same path simd serves. Every
+// cell is an independent deterministic simulation, so the JSON
 // artifact is byte-identical at any -parallel setting and is
 // regression-gated in CI with cmd/benchdiff against
 // ci/tenant-baseline.json (`make tenant-smoke`): any isolation-cell flip
@@ -21,15 +22,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/tenant"
+	"repro/internal/daemon"
 )
 
 type options struct {
@@ -43,67 +43,32 @@ type options struct {
 	quiet    bool
 }
 
-func splitList(s string) []string {
-	if s == "" || s == "all" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad count %q: %w", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 func run(opts options, stdout, stderr io.Writer) error {
-	counts, err := splitInts(opts.tenants)
+	spec, err := daemon.RunSpec{Tool: "tenantbench", Seed: opts.seed, Schemes: opts.schemes,
+		Attacks: opts.attacks, Tenants: opts.tenants, Frames: opts.frames}.Normalize()
 	if err != nil {
 		return err
 	}
-	frames, err := splitInts(opts.frames)
-	if err != nil {
-		return err
-	}
-	cfg := tenant.BenchConfig{
-		Seed:         opts.seed,
-		Schemes:      splitList(opts.schemes),
-		Attacks:      splitList(opts.attacks),
-		TenantCounts: counts,
-		FrameSizes:   frames,
-	}
+	var farm *bench.Farm
 	if opts.parallel != 1 {
-		farm := bench.NewFarm(opts.parallel)
+		farm = bench.NewFarm(opts.parallel)
 		defer farm.Close()
-		cfg.Farm = farm
 	}
-	art, tables, err := tenant.Bench(cfg)
+	res, err := daemon.Execute(context.Background(), farm, spec)
 	if err != nil {
 		return err
 	}
 	if !opts.quiet {
-		for _, tb := range tables {
+		for _, tb := range res.Tables {
 			fmt.Fprintln(stdout, tb.String())
 		}
 	}
 	if opts.jsonOut != "" {
-		if err := art.WriteFile(opts.jsonOut); err != nil {
+		if err := res.Artifact.WriteFile(opts.jsonOut); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "tenantbench: wrote %s (%d experiments)\n",
-			opts.jsonOut, len(art.Experiments))
+			opts.jsonOut, len(res.Artifact.Experiments))
 	}
 	return nil
 }

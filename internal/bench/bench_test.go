@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -86,6 +87,31 @@ func TestFig4ShapeSingleCoreTx(t *testing.T) {
 	}
 	if cp.Gbps >= idp.Gbps {
 		t.Errorf("at 64KB TX cache pollution should tip the scale to identity+ (copy %.1f vs %.1f)", cp.Gbps, idp.Gbps)
+	}
+}
+
+// TestBreakdownTotalIsOrderedComponentSum pins total_us to the sum over
+// cycles.Components in order, bit for bit: a sum in map iteration order
+// varies in the last bit from run to run.
+func TestBreakdownTotalIsOrderedComponentSum(t *testing.T) {
+	tb, flat, err := Breakdown(RX, 1, Options{WindowMs: 0.5, Systems: []string{SysCopy, SysIdentityStrict}})
+	if err != nil || len(tb.Series) != 2 {
+		t.Fatalf("Breakdown: %d series, %v", len(tb.Series), err)
+	}
+	for _, ser := range tb.Series {
+		perOp := flat[ser.System].PerOp
+		want := 0.0
+		for _, comp := range cycles.Components {
+			want += perOp[comp]
+		}
+		for k := range perOp {
+			if !slices.Contains(cycles.Components, k) {
+				t.Errorf("%s: PerOp key %q is not a breakdown component", ser.System, k)
+			}
+		}
+		if got := ser.Points[0].Metrics["total_us"]; got != want {
+			t.Errorf("%s: total_us = %v, want ordered component sum %v", ser.System, got, want)
+		}
 	}
 }
 

@@ -335,9 +335,11 @@ func Breakdown(dir Direction, cores int, opt Options) (*Table, map[string]Result
 	total := []string{"TOTAL"}
 	tput := []string{"throughput Gb/s"}
 	for _, s := range opt.systems() {
+		// Summed in component order, not map order, so total_us is
+		// bit-identical from run to run.
 		sum := 0.0
-		for _, v := range flat[s].PerOp {
-			sum += v
+		for _, comp := range cycles.Components {
+			sum += flat[s].PerOp[comp]
 		}
 		total = append(total, f2(sum))
 		tput = append(tput, f2(flat[s].Gbps))

@@ -107,13 +107,7 @@ func RunSuite(sections []Section, opt Options, parallelism int) ([]*Table, error
 // (like wall_* / host_*): they ride along in the artifact for
 // observability without ever being able to fail a comparison.
 func FarmTable(fs obs.FarmStats) *Table {
-	var util float64
-	for _, u := range fs.UtilPct {
-		util += u
-	}
-	if len(fs.UtilPct) > 0 {
-		util /= float64(len(fs.UtilPct))
-	}
+	util := fs.MeanUtilPct()
 	t := &Table{
 		Name:    "farm",
 		Title:   "Farm scheduling stats (host-time, diff-exempt)",

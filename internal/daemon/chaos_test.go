@@ -16,9 +16,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/chaos"
-	"repro/internal/report"
 )
 
 // testDaemon starts an in-process daemon on a short socket path (sun_path
@@ -81,46 +78,6 @@ func mustRun(t *testing.T, c *Client, spec RunSpec, noCache bool) *Response {
 	return resp
 }
 
-// oneShotChaos replicates cmd/chaosbench's serial artifact construction
-// for the byte-identity oracle.
-func oneShotChaos(t *testing.T, spec RunSpec) []byte {
-	t.Helper()
-	cfg := chaos.Config{Seed: spec.Seed, WindowMs: spec.WindowMs, Cores: 2, System: "strict"}
-	s, err := chaos.Find("faultstorm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := s.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art := report.New("chaosbench", spec.WindowMs, cfg.Costs)
-	art.Add(tb.Experiment())
-	var buf bytes.Buffer
-	if err := art.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestDaemonServesByteIdenticalToOneShot(t *testing.T) {
-	_, c := testDaemon(t, nil)
-	want := oneShotChaos(t, fastSpec())
-	resp := mustRun(t, c, fastSpec(), false)
-	if !bytes.Equal(resp.Artifact, want) {
-		t.Fatalf("daemon artifact differs from one-shot tool (%d vs %d bytes)",
-			len(resp.Artifact), len(want))
-	}
-	// Second request: byte-identical again, this time from the store.
-	resp2 := mustRun(t, c, fastSpec(), false)
-	if !resp2.Cached {
-		t.Error("second identical request not served from cache")
-	}
-	if !bytes.Equal(resp2.Artifact, want) {
-		t.Fatal("cached artifact differs from one-shot tool")
-	}
-}
-
 func TestDaemonNormalizationSharesCacheEntries(t *testing.T) {
 	_, c := testDaemon(t, nil)
 	mustRun(t, c, fastSpec(), false)
@@ -134,9 +91,9 @@ func TestDaemonNormalizationSharesCacheEntries(t *testing.T) {
 
 func TestDaemonWorkerPanicIsRetriedThenServed(t *testing.T) {
 	d, c := testDaemon(t, func(cfg *Config) { cfg.Inject.PanicEvery = 2 })
-	want := oneShotChaos(t, fastSpec())
+	want := hostFree(t, serial(t, fastSpec()).Artifact)
 	resp := mustRun(t, c, fastSpec(), false) // attempt 1 panics, retry succeeds
-	if !bytes.Equal(resp.Artifact, want) {
+	if !bytes.Equal(hostFree(t, decodeArt(t, resp.Artifact)), want) {
 		t.Fatal("artifact served after panic-retry differs from one-shot tool")
 	}
 	if d.panicsRecovered.Load() == 0 || d.retries.Load() == 0 {
@@ -289,14 +246,23 @@ func TestDaemonClientDisconnectCancelsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := Request{Op: "run", Spec: slowSpec(100), NoCache: true}
+	req := Request{Op: "run", Spec: slowSpec(20), NoCache: true}
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the run start
-	conn.Close()                      // client dies mid-run
-
+	// Disconnect once the run has a point queued behind the two workers.
+	// The queued point is dropped when a worker frees up, so the window
+	// is kept short: under -race on a loaded host the executing points
+	// must still finish well inside the deadline.
 	deadline := time.Now().Add(15 * time.Second)
+	for d.farm.QueueDepth() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("run never queued a point")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	conn.Close() // client dies mid-run
+
 	for d.canceled.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("disconnect never cancelled the run")
@@ -351,18 +317,34 @@ func TestDaemonSlowClientIsBounded(t *testing.T) {
 }
 
 func TestDaemonBadRequestsAreTyped(t *testing.T) {
-	_, c := testDaemon(t, nil)
+	d, c := testDaemon(t, nil)
 	for name, spec := range map[string]RunSpec{
-		"unknown-tool":       {Tool: "frobnicate"},
-		"unknown-experiment": {Tool: "reproduce", Experiments: "fig99"},
-		"unknown-scenario":   {Tool: "chaosbench", Scenarios: "nope"},
+		"unknown-tool":         {Tool: "frobnicate"},
+		"unknown-experiment":   {Tool: "reproduce", Experiments: "fig99"},
+		"unknown-scenario":     {Tool: "chaosbench", Scenarios: "nope"},
+		"unknown-chaos-system": {Tool: "chaosbench", System: "fortress"},
+		"chaos-system-list":    {Tool: "chaosbench", System: "strict,copy"},
+		"unknown-payload":      {Tool: "attackbench", Payloads: "stale-read,telepathy"},
+		"unknown-system":       {Tool: "attackbench", Systems: "strict,fortress"},
+		"unknown-scheme":       {Tool: "tenantbench", Schemes: "moat"},
+		"unknown-attack":       {Tool: "tenantbench", Attacks: "charm"},
+		"word-tenant-count":    {Tool: "tenantbench", Tenants: "two"},
+		"lone-tenant":          {Tool: "tenantbench", Tenants: "1"},
+		"zero-frame-size":      {Tool: "tenantbench", Frames: "1500,0"},
 	} {
+		bad, executed := d.badRequests.Load(), d.farm.Stats().Executed
 		resp, err := c.Run(spec, 0, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if resp.OK || resp.ErrKind != ErrKindBadRequest {
 			t.Errorf("%s: resp = %+v, want bad_request", name, resp)
+		}
+		if got := d.badRequests.Load(); got != bad+1 {
+			t.Errorf("%s: badRequests %d -> %d, want +1", name, bad, got)
+		}
+		if got := d.farm.Stats().Executed; got != executed {
+			t.Errorf("%s: farm executed %d points for a rejected spec", name, got-executed)
 		}
 	}
 	// Protocol garbage gets a typed response too.

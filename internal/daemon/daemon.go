@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,6 +117,9 @@ type Daemon struct {
 	canceled, deadlines          atomic.Uint64
 	badRequests, internalErrors  atomic.Uint64
 	corruptRecomputed, execCount atomic.Uint64
+
+	// execute is the run path, Execute; tests substitute failures.
+	execute func(context.Context, *bench.Farm, RunSpec) (*Result, error)
 }
 
 // New opens the store and socket and starts the warm farm. Call Serve to
@@ -143,6 +145,7 @@ func New(cfg Config) (*Daemon, error) {
 		sem:        make(chan struct{}, cfg.MaxInflight),
 		previewSem: make(chan struct{}, 1),
 		started:    time.Now(),
+		execute:    Execute,
 	}
 	return d, nil
 }
@@ -358,9 +361,11 @@ type recoveredPanic struct{ msg string }
 
 func (e *recoveredPanic) Error() string { return e.msg }
 
-// computeWithRetry runs the spec, retrying transient failures — worker
-// panics (farm-recovered or barrier-recovered) and store I/O errors —
-// with exponential backoff plus jitter, bounded by cfg.Retries.
+// computeWithRetry runs the spec, retrying worker panics (farm-recovered
+// or barrier-recovered) with exponential backoff plus jitter, bounded by
+// cfg.Retries. Any other error is returned at once: the run path never
+// touches the store (storeGet retries store reads itself), and a
+// simulation error would only recur.
 func (d *Daemon) computeWithRetry(ctx context.Context, spec RunSpec) (art *report.Artifact, err error) {
 	var lastErr error
 	for attempt := 0; attempt <= d.cfg.Retries; attempt++ {
@@ -392,14 +397,8 @@ func (d *Daemon) computeWithRetry(ctx context.Context, spec RunSpec) (art *repor
 }
 
 func retryable(err error) bool {
-	if bench.IsPanic(err) {
-		return true
-	}
 	var rp *recoveredPanic
-	if errors.As(err, &rp) {
-		return true
-	}
-	return strings.Contains(err.Error(), "store:")
+	return bench.IsPanic(err) || errors.As(err, &rp)
 }
 
 // execProtected is the per-request panic barrier: a panic anywhere in
@@ -419,7 +418,11 @@ func (d *Daemon) execProtected(ctx context.Context, spec RunSpec) (art *report.A
 			panic("daemon: injected exec panic")
 		}
 	}
-	return d.exec(ctx, spec)
+	res, err := d.execute(ctx, d.farm, spec)
+	if err != nil {
+		return nil, err
+	}
+	return res.Artifact, nil
 }
 
 // storeGet reads a key with a short bounded retry over transient I/O

@@ -16,37 +16,83 @@ import (
 	"repro/internal/tenant"
 )
 
-// exec runs one normalized spec on the daemon's warm farm, reproducing
-// the same-named cmd/* tool's artifact construction exactly — same
-// experiment order, same metrics — so daemon-served artifacts diff clean
-// against one-shot runs (the farm table and created_at stamp are the
-// documented diff-exempt exceptions). The context cancels queued sweep
-// points; points already executing finish (simulations are not
-// interruptible mid-point), so cancellation is prompt but not instant.
-func (d *Daemon) exec(ctx context.Context, spec RunSpec) (*report.Artifact, error) {
-	farm := d.farm.WithContext(ctx)
+// Result is one executed run: the artifact plus what the one-shot tools
+// print beside it.
+type Result struct {
+	// Artifact is the run's internal/report artifact. When a reproduce
+	// run fails it holds the completed sections as a partial diagnostic
+	// artifact.
+	Artifact *report.Artifact
+	// Tables are the run's tables in print order (reproduce: Table 1
+	// first, no farm table).
+	Tables []*bench.Table
+	// Cells are attackbench's per-cell outcomes, payload-major over the
+	// matrix columns.
+	Cells []campaign.Result
+}
+
+// Execute runs one normalized spec (see Normalize) on farm — nil runs
+// serially — and assembles its artifact. It is the single run path: the
+// one-shot cmd/* tools and the daemon both call it, so a served artifact
+// equals the one-shot tool's except for the created_at stamp and the
+// diff-exempt farm table. ctx cancels queued sweep points; points already
+// executing finish (simulations are not interruptible mid-point), so
+// cancellation is prompt but not instant. On error the Result, when
+// non-nil, carries what completed.
+func Execute(ctx context.Context, farm *bench.Farm, spec RunSpec) (*Result, error) {
+	farm = farm.WithContext(ctx)
 	switch spec.Tool {
 	case "reproduce":
 		return execReproduce(farm, spec)
 	case "chaosbench":
 		return execChaos(farm, spec)
 	case "attackbench":
-		return execAttack(farm, spec)
+		cfg := campaign.MatrixConfig{
+			Seed:     spec.Seed,
+			Payloads: splitList(spec.Payloads),
+			Systems:  splitList(spec.Systems),
+			Farm:     farm,
+		}
+		tb, cells, err := campaign.Matrix(cfg)
+		if err != nil {
+			return nil, err
+		}
+		art := report.New("attackbench", campaign.CellWindowMs, nil)
+		art.Add(tb.Experiment())
+		return &Result{Artifact: art, Tables: []*bench.Table{tb}, Cells: cells}, nil
 	case "tenantbench":
-		return execTenant(farm, spec)
+		counts, err := splitInts(spec.Tenants)
+		if err != nil {
+			return nil, err
+		}
+		frames, err := splitInts(spec.Frames)
+		if err != nil {
+			return nil, err
+		}
+		art, tables, err := tenant.Bench(tenant.BenchConfig{
+			Seed:         spec.Seed,
+			Schemes:      splitList(spec.Schemes),
+			Attacks:      splitList(spec.Attacks),
+			TenantCounts: counts,
+			FrameSizes:   frames,
+			Farm:         farm,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Artifact: art, Tables: tables}, nil
 	}
 	return nil, fmt.Errorf("unknown tool %q", spec.Tool)
 }
 
-// execReproduce mirrors cmd/reproduce: suite sections (filtered by the
-// experiment list) concurrent with Table 1, then the farm table.
-func execReproduce(farm *bench.Farm, spec RunSpec) (*report.Artifact, error) {
-	opt := bench.Options{WindowMs: spec.WindowMs, Farm: farm}
+// execReproduce runs the selected suite sections concurrently with
+// Table 1 (which leads the report), then appends the farm table.
+func execReproduce(farm *bench.Farm, spec RunSpec) (*Result, error) {
 	sections := bench.Suite(!spec.SkipSensitivity)
 	runTable1 := true
 	if spec.Experiments != "all" {
 		want := map[string]bool{}
-		for _, n := range strings.Split(spec.Experiments, ",") {
+		for _, n := range splitList(spec.Experiments) {
 			want[n] = true
 		}
 		runTable1 = want["table1"]
@@ -71,37 +117,38 @@ func execReproduce(farm *bench.Farm, spec RunSpec) (*report.Artifact, error) {
 			t1ch <- table1Out{rows, tbl, err}
 		}()
 	}
-	tables, err := bench.RunSuite(sections, opt, 0)
+	stamp := func(tables []*bench.Table) *report.Artifact {
+		a := bench.Artifact("reproduce", spec.WindowMs, nil, tables)
+		a.CreatedAt = time.Now().UTC().Format(time.RFC3339)
+		return a
+	}
+	tables, err := bench.RunSuite(sections, bench.Options{WindowMs: spec.WindowMs, Farm: farm}, 0)
 	if err != nil {
-		return nil, err
+		return &Result{Artifact: stamp(tables), Tables: tables}, err
 	}
 	var t1 table1Out
 	if runTable1 {
-		t1 = <-t1ch
-		if t1.err != nil {
-			return nil, t1.err
+		if t1 = <-t1ch; t1.err != nil {
+			return &Result{Artifact: stamp(tables), Tables: tables}, t1.err
 		}
 		tables = append([]*bench.Table{t1.tbl}, tables...)
 	}
-	tables = append(tables, bench.FarmTable(farm.Stats()))
-	a := bench.Artifact("reproduce", spec.WindowMs, nil, tables)
-	a.CreatedAt = time.Now().UTC().Format(time.RFC3339)
+	a := stamp(append(tables, bench.FarmTable(farm.Stats())))
 	if runTable1 {
 		a.Attacks = attack.Verdicts(t1.rows)
 	}
-	return a, nil
+	return &Result{Artifact: a, Tables: tables}, nil
 }
 
-// execChaos mirrors cmd/chaosbench: scenarios on coordinator goroutines
-// over the shared farm, tables in scenario order.
-func execChaos(farm *bench.Farm, spec RunSpec) (*report.Artifact, error) {
+// execChaos runs the scenarios on coordinator goroutines over the shared
+// farm; the tables land in scenario order at every farm width.
+func execChaos(farm *bench.Farm, spec RunSpec) (*Result, error) {
 	cfg := chaos.Config{Seed: spec.Seed, WindowMs: spec.WindowMs,
 		Cores: spec.Cores, System: spec.System, Farm: farm}
-	var run []chaos.Scenario
-	if spec.Scenarios == "all" {
-		run = chaos.Scenarios
-	} else {
-		for _, name := range strings.Split(spec.Scenarios, ",") {
+	run := chaos.Scenarios
+	if spec.Scenarios != "all" {
+		run = nil
+		for _, name := range splitList(spec.Scenarios) {
 			s, err := chaos.Find(name)
 			if err != nil {
 				return nil, err
@@ -113,16 +160,13 @@ func execChaos(farm *bench.Farm, spec RunSpec) (*report.Artifact, error) {
 	errs := make([]error, len(run))
 	var wg sync.WaitGroup
 	for i, s := range run {
-		i, s := i, s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t, err := s.Run(cfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %v", s.Name, err)
-				return
+			tables[i], errs[i] = s.Run(cfg)
+			if errs[i] != nil {
+				errs[i] = fmt.Errorf("%s: %v", s.Name, errs[i])
 			}
-			tables[i] = t
 		}()
 	}
 	wg.Wait()
@@ -135,50 +179,20 @@ func execChaos(farm *bench.Farm, spec RunSpec) (*report.Artifact, error) {
 	for _, t := range tables {
 		art.Add(t.Experiment())
 	}
-	return art, nil
+	return &Result{Artifact: art, Tables: tables}, nil
 }
 
-// execAttack mirrors cmd/attackbench: the payload x backend success
-// matrix as one experiment.
-func execAttack(farm *bench.Farm, spec RunSpec) (*report.Artifact, error) {
-	cfg := campaign.MatrixConfig{
-		Seed:     spec.Seed,
-		Payloads: splitList(spec.Payloads),
-		Systems:  splitList(spec.Systems),
-		Farm:     farm,
+// splitList expands a canonical comma list for the library configs, where
+// nil means "all".
+func splitList(s string) []string {
+	if s == "" || s == "all" {
+		return nil
 	}
-	tb, _, err := campaign.Matrix(cfg)
-	if err != nil {
-		return nil, err
-	}
-	art := report.New("attackbench", campaign.CellWindowMs, nil)
-	art.Add(tb.Experiment())
-	return art, nil
+	return strings.Split(s, ",")
 }
 
-// execTenant mirrors cmd/tenantbench: tenant.Bench builds the artifact
-// (isolation matrix + tenant-count sweep) itself.
-func execTenant(farm *bench.Farm, spec RunSpec) (*report.Artifact, error) {
-	counts, err := splitInts(spec.Tenants)
-	if err != nil {
-		return nil, err
-	}
-	frames, err := splitInts(spec.Frames)
-	if err != nil {
-		return nil, err
-	}
-	cfg := tenant.BenchConfig{
-		Seed:         spec.Seed,
-		Schemes:      splitList(spec.Schemes),
-		Attacks:      splitList(spec.Attacks),
-		TenantCounts: counts,
-		FrameSizes:   frames,
-		Farm:         farm,
-	}
-	art, _, err := tenant.Bench(cfg)
-	return art, err
-}
-
+// splitInts expands a canonical comma list of integers; nil means the
+// library default.
 func splitInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range splitList(s) {

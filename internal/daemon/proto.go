@@ -16,13 +16,17 @@ package daemon
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/campaign"
 	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/tenant"
 )
 
 // Error kinds carried in Response.ErrKind so clients can react without
@@ -35,8 +39,7 @@ const (
 	ErrKindInternal   = "internal"    // retries exhausted or unexpected failure
 )
 
-// Tools the daemon can run. Each replicates the artifact construction of
-// the same-named cmd/* one-shot tool exactly.
+// Tools Execute can run, named after the cmd/* tools that call it.
 var Tools = []string{"reproduce", "chaosbench", "attackbench", "tenantbench"}
 
 // RunSpec names one deterministic benchmark run. The normalized spec
@@ -129,41 +132,48 @@ func (s RunSpec) Key(fingerprint string) (string, error) {
 
 // Normalize validates a spec and fills tool defaults, returning the
 // canonical form under which results are memoized: two requests that
-// mean the same run always normalize to the same bytes. Errors are
-// ErrKindBadRequest material.
+// mean the same run always normalize to the same bytes. Every name and
+// number is checked here, so a malformed spec fails before the store key
+// and admission; errors are ErrKindBadRequest material.
 func (s RunSpec) Normalize() (RunSpec, error) {
 	n := RunSpec{Tool: s.Tool}
+	var err error
 	switch s.Tool {
 	case "reproduce":
 		n.WindowMs = defFloat(s.WindowMs, 10)
 		n.SkipSensitivity = s.SkipSensitivity
-		var err error
-		if n.Experiments, err = canonExperiments(s.Experiments); err != nil {
-			return n, err
-		}
+		n.Experiments, err = canonExperiments(s.Experiments)
 	case "chaosbench":
 		n.Seed = defInt64(s.Seed, 1)
 		n.WindowMs = defFloat(s.WindowMs, 2)
 		n.Cores = defInt(s.Cores, 2)
 		n.System = defStr(s.System, "strict")
-		var err error
-		if n.Scenarios, err = canonScenarios(s.Scenarios); err != nil {
-			return n, err
+		if !bench.IsSystem(n.System) {
+			err = fmt.Errorf("unknown system %q (have: %s)", n.System, strings.Join(bench.ExtendedSystems, ","))
+			break
 		}
+		n.Scenarios, err = canonNames("scenario", s.Scenarios, scenarioNames)
 	case "attackbench":
 		n.Seed = defInt64(s.Seed, 1)
-		n.Payloads = canonList(s.Payloads)
-		n.Systems = canonList(s.Systems)
+		if n.Payloads, err = canonNames("payload", s.Payloads, campaign.Payloads); err == nil {
+			n.Systems, err = canonNames("system", s.Systems, extendedSystems)
+		}
 	case "tenantbench":
 		n.Seed = defInt64(s.Seed, 1)
-		n.Schemes = canonList(s.Schemes)
-		n.Attacks = canonList(s.Attacks)
-		n.Tenants = canonList(s.Tenants)
-		n.Frames = canonList(s.Frames)
+		if n.Schemes, err = canonNames("scheme", s.Schemes, tenant.Schemes); err != nil {
+			break
+		}
+		if n.Attacks, err = canonNames("attack", s.Attacks, tenant.Attacks); err != nil {
+			break
+		}
+		// Every sweep point mounts a hostile tenant beside its victims.
+		if n.Tenants, err = canonInts("tenant count", s.Tenants, 2); err == nil {
+			n.Frames, err = canonInts("frame size", s.Frames, 1)
+		}
 	default:
-		return n, fmt.Errorf("unknown tool %q (have %s)", s.Tool, strings.Join(Tools, ","))
+		err = fmt.Errorf("unknown tool %q (have %s)", s.Tool, strings.Join(Tools, ","))
 	}
-	return n, nil
+	return n, err
 }
 
 // SupportsPreview reports whether the tool has a window knob the
@@ -200,8 +210,10 @@ func defStr(v, d string) string {
 	return v
 }
 
-// canonList canonicalizes a comma list: trimmed, deduped, sorted. "all"
-// and "" both mean the library default and normalize to "all".
+// canonList canonicalizes a comma list: trimmed and deduped, first
+// occurrence kept. Order is kept because it is the output order of every
+// list but reproduce's experiments. "all" and "" both mean the library
+// default and normalize to "all".
 func canonList(s string) string {
 	if s == "" || s == "all" {
 		return "all"
@@ -217,48 +229,77 @@ func canonList(s string) string {
 	if len(out) == 0 {
 		return "all"
 	}
-	sort.Strings(out)
 	return strings.Join(out, ",")
 }
 
-// canonExperiments canonicalizes and validates a reproduce experiment
-// list against the suite (plus "table1").
+// canonNames canonicalizes a comma list and checks it against the known
+// names, reporting every unknown one together with the known set. The
+// known set is built only for an explicit list, keeping "all" cheap on
+// the memoized request path.
+func canonNames(kind, s string, knownNames func() []string) (string, error) {
+	c := canonList(s)
+	if c == "all" {
+		return c, nil
+	}
+	known := knownNames()
+	var unknown []string
+	for _, name := range strings.Split(c, ",") {
+		if !slices.Contains(known, name) {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return "", fmt.Errorf("unknown %s(s) %s (have: %s)",
+			kind, strings.Join(unknown, ","), strings.Join(known, ","))
+	}
+	return c, nil
+}
+
+// canonExperiments validates a reproduce experiment list against Table 1
+// plus the suite. The report renders in suite order whatever the list
+// order, so the canonical list is sorted: reorderings share a store key.
 func canonExperiments(s string) (string, error) {
-	c := canonList(s)
-	if c == "all" {
-		return c, nil
+	c, err := canonNames("experiment", s, experimentNames)
+	if err != nil || c == "all" {
+		return c, err
 	}
-	known := map[string]bool{"table1": true}
+	names := strings.Split(c, ",")
+	sort.Strings(names)
+	return strings.Join(names, ","), nil
+}
+
+func experimentNames() []string {
+	out := []string{"table1"}
 	for _, sec := range bench.Suite(true) {
-		known[sec.Name] = true
+		out = append(out, sec.Name)
 	}
-	for _, name := range strings.Split(c, ",") {
-		if !known[name] {
-			return "", fmt.Errorf("unknown experiment %q", name)
-		}
-	}
-	return c, nil
+	return out
 }
 
-// canonScenarios canonicalizes and validates a chaosbench scenario list.
-func canonScenarios(s string) (string, error) {
+func extendedSystems() []string { return bench.ExtendedSystems }
+
+func scenarioNames() []string {
+	out := make([]string, len(chaos.Scenarios))
+	for i, s := range chaos.Scenarios {
+		out[i] = s.Name
+	}
+	return out
+}
+
+// canonInts canonicalizes a comma list of integers, each at least min.
+func canonInts(kind, s string, min int) (string, error) {
 	c := canonList(s)
 	if c == "all" {
 		return c, nil
 	}
-	for _, name := range strings.Split(c, ",") {
-		if _, err := chaos.Find(name); err != nil {
-			return "", err
+	parts := strings.Split(c, ",")
+	for i, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil || v < min {
+			return "", fmt.Errorf("bad %s %q (want an integer >= %d)", kind, p, min)
 		}
+		parts[i] = strconv.Itoa(v)
 	}
-	return c, nil
-}
-
-// splitList expands a canonical comma list for the library configs, where
-// nil means "all".
-func splitList(s string) []string {
-	if s == "" || s == "all" {
-		return nil
-	}
-	return strings.Split(s, ",")
+	return strings.Join(parts, ","), nil
 }

@@ -127,6 +127,18 @@ type FarmStats struct {
 	UtilPct []float64
 }
 
+// MeanUtilPct averages UtilPct over the workers (0 for a serial farm).
+func (s FarmStats) MeanUtilPct() float64 {
+	if len(s.UtilPct) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, u := range s.UtilPct {
+		sum += u
+	}
+	return sum / float64(len(s.UtilPct))
+}
+
 // PublishFarm records a sweep pool's scheduler metrics under farm.*.
 func PublishFarm(r *Registry, s FarmStats) {
 	r.Counter("farm.submitted", s.Submitted)

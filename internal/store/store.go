@@ -12,9 +12,8 @@
 //   - corruption: a failed verification quarantines the entry (atomic
 //     rename into quarantine/) and reports ErrCorrupt, so the caller
 //     recomputes and re-Puts — a corrupt cache degrades to a cold cache,
-//     it never serves bad bytes. Concurrent readers during the
-//     quarantine either still see the old file (and reach the same
-//     verdict) or miss cleanly.
+//     it never serves bad bytes. Only the file that failed is moved: a
+//     healed entry renamed into place by a concurrent Put is left live.
 //
 // Keys are sha256 hex of the canonical-JSON request descriptor (see Key),
 // which includes a fingerprint of the serving binary — a rebuilt simd
@@ -27,9 +26,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -63,6 +64,14 @@ type Store struct {
 	corrupt, readErrors atomic.Uint64
 	seq                 atomic.Uint64 // tmp/quarantine name uniquifier
 	gets                atomic.Uint64 // for the injection knobs
+
+	// renameMu orders Put's rename into entries/ against quarantine's
+	// same-file check and rename out, so a quarantine never moves an
+	// entry it did not read. Get's hit path takes no lock.
+	renameMu sync.Mutex
+	// beforeQuarantine, when set, runs between a failed verification and
+	// the quarantine (tests force the heal-in-between interleaving).
+	beforeQuarantine func()
 
 	// Fault-injection knobs (chaos suite / simd -inject). CorruptEvery=N
 	// flips one payload byte of every Nth entry on disk before reading
@@ -139,7 +148,10 @@ func (s *Store) Put(key string, payload []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: put: %w", err)
 	}
-	if err := os.Rename(tmp, dst); err != nil {
+	s.renameMu.Lock()
+	err = os.Rename(tmp, dst)
+	s.renameMu.Unlock()
+	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("store: put: %w", err)
 	}
@@ -162,7 +174,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if s.CorruptEvery > 0 && n%uint64(s.CorruptEvery) == 0 {
 		s.injectCorruption(key)
 	}
-	data, err := os.ReadFile(s.entryPath(key))
+	f, err := os.Open(s.entryPath(key))
 	if errors.Is(err, os.ErrNotExist) {
 		s.misses.Add(1)
 		return nil, ErrMiss
@@ -171,10 +183,26 @@ func (s *Store) Get(key string) ([]byte, error) {
 		s.readErrors.Add(1)
 		return nil, fmt.Errorf("store: get: %w", err)
 	}
+	// Held open until quarantine, the file pins its inode: no newer entry
+	// can reuse it and pass quarantine's same-file check.
+	defer f.Close()
+	fi, err := f.Stat()
+	var data []byte
+	if err == nil {
+		data = make([]byte, fi.Size())
+		_, err = io.ReadFull(f, data)
+	}
+	if err != nil {
+		s.readErrors.Add(1)
+		return nil, fmt.Errorf("store: get: %w", err)
+	}
 	payload, verr := verify(key, data)
 	if verr != nil {
 		s.corrupt.Add(1)
-		s.quarantine(key)
+		if s.beforeQuarantine != nil {
+			s.beforeQuarantine()
+		}
+		s.quarantine(key, fi)
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, verr)
 	}
 	s.hits.Add(1)
@@ -213,14 +241,21 @@ func verify(key string, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// quarantine moves a corrupt entry out of the live tree. The rename is
-// atomic; if a concurrent reader already moved it (or re-Put raced in a
-// fresh entry), losing the race is fine — the live key is healthy either
-// way, so errors are ignored.
-func (s *Store) quarantine(key string) {
+// quarantine moves the corrupt entry file Get read out of the live
+// tree, but only if it is still the live file: a concurrent Put may have
+// renamed a healed entry into place, and a concurrent reader may already
+// have moved the corrupt one. Either way there is nothing left to move.
+func (s *Store) quarantine(key string, read os.FileInfo) {
+	path := s.entryPath(key)
 	dst := filepath.Join(s.root, "quarantine",
 		fmt.Sprintf("%s.%d.%d", key, os.Getpid(), s.seq.Add(1)))
-	_ = os.Rename(s.entryPath(key), dst)
+	s.renameMu.Lock()
+	defer s.renameMu.Unlock()
+	if live, err := os.Stat(path); err == nil && os.SameFile(live, read) {
+		// A failed rename leaves the corrupt entry live, where the next
+		// Get finds it and quarantines it again.
+		_ = os.Rename(path, dst)
+	}
 }
 
 // injectCorruption flips one payload byte of the on-disk entry (chaos

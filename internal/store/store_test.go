@@ -204,6 +204,40 @@ func TestStoreConcurrentReadersDuringQuarantine(t *testing.T) {
 	}
 }
 
+// TestStoreQuarantineSparesHealedEntry forces the race the concurrent test
+// only hits by chance: a reader reads corrupt bytes, a Put heals the key,
+// and only then does the reader quarantine. The healed entry must stay.
+func TestStoreQuarantineSparesHealedEntry(t *testing.T) {
+	s := open(t)
+	good := []byte("the healed artifact")
+	key, err := Key("heal-before-quarantine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, good); err != nil {
+		t.Fatal(err)
+	}
+	corruptOnDisk(t, s, key, func(d []byte) []byte {
+		d[len(d)-1] ^= 0xFF
+		return d
+	})
+	s.beforeQuarantine = func() {
+		if err := s.Put(key, good); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, err := s.Get(key); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of corrupt bytes = %v, want ErrCorrupt", err)
+	}
+	s.beforeQuarantine = nil
+	if got, err := s.Get(key); err != nil || !bytes.Equal(got, good) {
+		t.Fatalf("healed entry after quarantine: %q, %v", got, err)
+	}
+	if n := s.QuarantinedCount(); n != 0 {
+		t.Errorf("quarantined %d entries, want 0 (the corrupt file was replaced, not moved)", n)
+	}
+}
+
 func TestStoreInjectedReadFailure(t *testing.T) {
 	s := open(t)
 	key := put(t, s, "flaky medium")
