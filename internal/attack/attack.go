@@ -79,7 +79,7 @@ func RunTraced(system string, tr *trace.Tracer) (Outcome, error) {
 	})
 	t.Mach.Eng.Run(cycles.FromMillis(50))
 	out.Faults = t.Mach.IOMMU.FaultCount
-	t.Mach.Eng.Stop()
+	t.Mach.Teardown()
 
 	out.SubPageLeak = results[0].Success
 	out.LeakedBytes = results[0].Leaked

@@ -45,6 +45,6 @@ func windowProbe(system string, delayUs float64) (bool, error) {
 		probeErr = campaign.Execute(p, t, w, &r)
 	})
 	t.Mach.Eng.Run(cycles.FromMillis(delayUs/1000 + 30))
-	t.Mach.Eng.Stop()
+	t.Mach.Teardown()
 	return w.Landed(), probeErr
 }

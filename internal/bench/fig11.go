@@ -71,7 +71,7 @@ func runMemcached(system string, cores int, windowMs float64, o *obs.Observer) (
 		pr.TotalBusy = busy
 		prof = &pr
 	}
-	mach.Eng.Stop()
+	mach.Teardown()
 	if runErr != nil {
 		return KVResult{}, nil, runErr
 	}

@@ -125,7 +125,7 @@ func runMicro(system string, pat MicroPattern, pairs int, o *obs.Observer) (Micr
 		snap.TotalBusy = pr.Busy()
 		prof = &snap
 	}
-	mach.Eng.Stop()
+	mach.Teardown()
 	if runErr != nil {
 		return MicroResult{}, nil, runErr
 	}

@@ -103,6 +103,7 @@ func RunMixed(system string, netCores, blkCores int, windowMs float64) (MixedRes
 	}
 	contended := u.Queue.Lock.Contended
 	eng.Stop()
+	m.Release()
 	if runErr != nil {
 		return MixedResult{}, runErr
 	}

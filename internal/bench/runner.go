@@ -178,6 +178,14 @@ type Machine struct {
 	Obs    *obs.Observer // nil unless Config.Obs was set
 }
 
+// Teardown stops the machine's engine and releases its memory to the
+// process-wide chunk free list (mem.Memory.Release). Call it after the
+// last read of the machine's memory; the machine is unusable afterwards.
+func (m *Machine) Teardown() {
+	m.Eng.Stop()
+	m.Mem.Release()
+}
+
 // NewMachine assembles the evaluated machine for a config.
 func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Costs == nil {
@@ -270,7 +278,7 @@ func runRx(mach *Machine, cfg Config) (Result, error) {
 	window := cycles.FromMillis(cfg.WindowMs)
 	mach.Eng.Run(window)
 	res := collect(mach, cfg, procs, window)
-	mach.Eng.Stop()
+	mach.Teardown()
 	if setupErr != nil {
 		return res, setupErr
 	}
@@ -306,7 +314,7 @@ func runTx(mach *Machine, cfg Config) (Result, error) {
 	window := cycles.FromMillis(cfg.WindowMs)
 	mach.Eng.Run(window)
 	res := collect(mach, cfg, procs, window)
-	mach.Eng.Stop()
+	mach.Teardown()
 	if runErr != nil {
 		return res, runErr
 	}
@@ -340,7 +348,7 @@ func runRR(mach *Machine, cfg Config) (Result, error) {
 	window := cycles.FromMillis(cfg.WindowMs)
 	mach.Eng.Run(window)
 	res := collect(mach, cfg, []*sim.Proc{pr}, window)
-	mach.Eng.Stop()
+	mach.Teardown()
 	if setupErr != nil {
 		return res, setupErr
 	}

@@ -60,7 +60,7 @@ func RunStorage(system string, cores, ioSize, readPct int, windowMs float64) (St
 		busy += p.Busy()
 	}
 	ms := mach.Mapper.Stats()
-	mach.Eng.Stop()
+	mach.Teardown()
 	if runErr != nil {
 		return StorageResult{}, runErr
 	}

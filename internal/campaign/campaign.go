@@ -195,7 +195,7 @@ func Run(system, payload string, seed int64) (Result, error) {
 	r.Metrics["success"] = b2f(r.Success)
 	r.Metrics["faults"] = float64(t.Mach.IOMMU.FaultCount)
 	r.Metrics["blocked_dmas"] = float64(t.Mach.IOMMU.BlockedDMAs)
-	t.Mach.Eng.Stop()
+	t.Mach.Teardown()
 	if execErr != nil {
 		r.Err = execErr
 	}

@@ -221,6 +221,7 @@ func (mc *machine) runVictim(cfg Config, window uint64, arm func(*machine)) runS
 		rs.Profile = &pr
 	}
 	mc.eng.Stop()
+	mc.mem.Release()
 	return rs
 }
 

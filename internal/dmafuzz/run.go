@@ -239,6 +239,7 @@ func runBackend(backend string, tr *Trace, plan FaultPlan) (*BackendResult, erro
 	})
 	mc.eng.Run(1 << 50)
 	mc.eng.Stop()
+	mc.mem.Release()
 	return br, nil
 }
 

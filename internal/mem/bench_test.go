@@ -70,6 +70,31 @@ func BenchmarkMemFill64K(b *testing.B) {
 	}
 }
 
+// BenchmarkMemoryLifecycle measures one machine's memory from New to
+// Release: New(2), a full-page write to each of 256 pages (two chunks),
+// then Release. Once the free list is warm the chunks come from it, so
+// the per-op allocation is bookkeeping only, not 2 MiB of frame storage.
+func BenchmarkMemoryLifecycle(b *testing.B) {
+	page := make([]byte, PageSize)
+	page[0] = 1
+	b.SetBytes(256 * PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := New(2)
+		addr, err := m.AllocPages(0, 256)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := 0; p < 256; p++ {
+			if err := m.Write(addr+Phys(p*PageSize), page); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.Release()
+	}
+}
+
 // BenchmarkMemAllocFree measures single-page allocate/free recycling (the
 // kmalloc backing-page churn of the simulated workloads).
 func BenchmarkMemAllocFree(b *testing.B) {

@@ -12,7 +12,8 @@ import (
 // the simulated physical memory and checks every byte against a plain
 // []byte model: writes round-trip, never-written pages read as zeros,
 // accesses to unallocated frames fail without partial effects, and
-// freeing everything returns the in-use accounting to baseline.
+// freeing everything returns the in-use accounting to baseline. Each
+// input releases its memory, so later inputs run on recycled chunks.
 func FuzzAccess(f *testing.F) {
 	f.Add(dmafuzz.Generate(1, 64).Encode())
 	f.Add(dmafuzz.Generate(3, 128).Encode())
@@ -143,5 +144,8 @@ func FuzzAccess(f *testing.F) {
 				t.Fatalf("domain %d: %d bytes in use after teardown, baseline %d", d, got, want)
 			}
 		}
+		// Recycle the chunks, so the next input's "never-written pages
+		// read as zeros" check runs on scrubbed, reused storage.
+		m.Release()
 	})
 }

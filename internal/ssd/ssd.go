@@ -94,6 +94,10 @@ type SSD struct {
 	// 1/IOPS (or transfer time for big ops), while completion latency is
 	// decoupled (the device is internally parallel).
 	busyTill uint64
+	// stage is the data-transfer staging buffer shared by the read and
+	// write paths: process moves one command at a time, and neither the
+	// IOMMU nor the flash store keeps the slice.
+	stage []byte
 
 	// Stats
 	Reads, Writes          uint64
@@ -200,10 +204,11 @@ func (q *Queue) process(now uint64) {
 		// Data movement (functional, through the IOMMU).
 		var status error
 		var lat uint64
+		data := d.staging(cmd.Len)
 		switch cmd.Op {
 		case OpRead:
 			lat = d.cfg.ReadLatency + xfer
-			data := d.readFlash(cmd.LBA, cmd.Len)
+			d.readFlash(cmd.LBA, data)
 			res := d.u.DMAWrite(d.cfg.Dev, cmd.Addr, data)
 			if res.Fault != nil {
 				status = res.Fault
@@ -214,7 +219,6 @@ func (q *Queue) process(now uint64) {
 			}
 		case OpWrite:
 			lat = d.cfg.WriteLatency + xfer
-			data := make([]byte, cmd.Len)
 			res := d.u.DMARead(d.cfg.Dev, cmd.Addr, data)
 			if res.Fault != nil {
 				status = res.Fault
@@ -235,20 +239,36 @@ func (q *Queue) process(now uint64) {
 	}
 }
 
-func (d *SSD) readFlash(lba uint64, n int) []byte {
-	out := make([]byte, n)
-	for off := 0; off < n; off += BlockSize {
+// staging returns the device's staging buffer resized to n bytes.
+func (d *SSD) staging(n int) []byte {
+	if cap(d.stage) < n {
+		d.stage = make([]byte, n)
+	}
+	return d.stage[:n]
+}
+
+// readFlash fills out with the flash content starting at lba; blocks
+// never written read as zeros.
+func (d *SSD) readFlash(lba uint64, out []byte) {
+	for off := 0; off < len(out); off += BlockSize {
 		if b, ok := d.flash[lba+uint64(off/BlockSize)]; ok {
 			copy(out[off:], b)
+		} else {
+			clear(out[off:min(off+BlockSize, len(out))])
 		}
 	}
-	return out
 }
 
 func (d *SSD) writeFlash(lba uint64, data []byte) {
 	for off := 0; off < len(data); off += BlockSize {
-		blk := make([]byte, BlockSize)
-		copy(blk, data[off:])
-		d.flash[lba+uint64(off/BlockSize)] = blk
+		// Blocks never escape the map (BlockAt and readFlash copy out),
+		// so an existing block is overwritten in place.
+		key := lba + uint64(off/BlockSize)
+		blk, ok := d.flash[key]
+		if !ok {
+			blk = make([]byte, BlockSize)
+			d.flash[key] = blk
+		}
+		clear(blk[copy(blk, data[off:]):])
 	}
 }

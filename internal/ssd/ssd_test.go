@@ -218,3 +218,63 @@ func TestHugeIOUsesHybridPath(t *testing.T) {
 			ms.BytesCopied, st.Bytes)
 	}
 }
+
+// TestStagingReuseNeverLeaksBytes drives the device's shared staging
+// buffer through a write, a read that spans a written and a never-written
+// block, and a short overwrite: never-written flash must read as zeros
+// and a short write must not keep the old block's tail.
+func TestStagingReuseNeverLeaksBytes(t *testing.T) {
+	r := newRig(t, "noiommu", 1)
+	q := r.dev.Queue(0)
+	buf, _ := r.k.Alloc(0, 8192)
+	content := bytes.Repeat([]byte{0xa5}, 8192)
+	r.eng.Spawn("blk", 0, 0, func(p *sim.Proc) {
+		do := func(op Op, lba uint64, n int) error {
+			dir := dmaapi.ToDevice
+			if op == OpRead {
+				dir = dmaapi.FromDevice
+			}
+			addr, err := r.mapper.Map(p, buf, dir)
+			if err != nil {
+				return err
+			}
+			q.Submit(p, Command{Op: op, LBA: lba, Addr: addr, Len: n})
+			q.CompCond.WaitUntil(p, q.HasComp)
+			if c := q.DrainComp()[0]; c.Status != nil {
+				return c.Status
+			}
+			return r.mapper.Unmap(p, addr, buf.Size, dir)
+		}
+		if err := r.m.Write(buf.Addr, content); err != nil {
+			t.Error(err)
+			return
+		}
+		// Write blocks 10 and 11, then read block 11 and never-written 12.
+		if err := do(OpWrite, 10, 8192); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := do(OpRead, 11, 8192); err != nil {
+			t.Error(err)
+			return
+		}
+		got, _ := r.m.Snapshot(buf)
+		want := append(bytes.Repeat([]byte{0xa5}, BlockSize), make([]byte, BlockSize)...)
+		if !bytes.Equal(got, want) {
+			t.Error("read of a never-written block returned staged bytes")
+		}
+		if err := r.m.Fill(mem.Buf{Addr: buf.Addr, Size: 100}, 0x3c); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := do(OpWrite, 10, 100); err != nil {
+			t.Error(err)
+		}
+	})
+	r.eng.Run(1 << 40)
+	r.eng.Stop()
+	want := append(bytes.Repeat([]byte{0x3c}, 100), make([]byte, BlockSize-100)...)
+	if !bytes.Equal(r.dev.BlockAt(10), want) {
+		t.Error("short overwrite kept the block's old tail")
+	}
+}

@@ -55,6 +55,7 @@ func Matrix(cfg MatrixConfig) (*bench.Table, []Result, error) {
 		}
 		m.Run()
 		results[i] = m.Collect()
+		m.Mem.Release()
 		return nil
 	})
 	if err != nil {
@@ -147,6 +148,7 @@ func Sweep(cfg SweepConfig) (*bench.Table, []Result, error) {
 		}
 		m.Run()
 		results[i] = m.Collect()
+		m.Mem.Release()
 		return nil
 	})
 	if err != nil {
