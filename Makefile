@@ -19,13 +19,13 @@ race:
 	$(GO) test -race ./...
 
 # Short farm-parallel smoke under the race detector: the tests that fan
-# real sweep points across multi-worker farms (bench sections, chaos
-# variant triples, magazine stats counters, the shared mem chunk free
-# list), so any cross-engine data race on shared state fails fast
-# without the cost of `make race`.
+# real sweep points across multi-worker farms (bench sections, the
+# per-report run memo, chaos variant triples, magazine stats counters,
+# the shared mem chunk free list), so any cross-engine data race on
+# shared state fails fast without the cost of `make race`.
 race-smoke:
 	$(GO) test -race -count=1 \
-		-run 'Farm|RunSuite|PointSeed|MagazineStatsRace|ChunkPoolRace|Fig1Extended|ParallelHost|Campaign|Tenant|Store|Daemon' \
+		-run 'Farm|RunSuite|RunMemo|PointSeed|MagazineStatsRace|ChunkPoolRace|Fig1Extended|ParallelHost|Campaign|Tenant|Store|Daemon' \
 		./internal/bench/ ./internal/chaos/ ./internal/iova/ ./internal/shadow/ ./internal/campaign/ ./internal/tenant/ ./internal/store/ ./internal/daemon/ ./internal/mem/
 
 # Fast end-to-end check: regenerate the full evaluation at a 1 ms window,

@@ -146,7 +146,7 @@ func BenchmarkFig11Memcached(b *testing.B) {
 // BenchmarkTable1SecurityMatrix regenerates Table 1 (attacks + perf).
 func BenchmarkTable1SecurityMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := attack.Table1(4)
+		rows, _, err := attack.Table1(bench.Options{WindowMs: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func run(opts options, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout)
 
-	rows, table, err := attack.Table1(opts.window)
+	rows, table, err := attack.Table1(bench.Options{WindowMs: opts.window})
 	if err != nil {
 		return err
 	}

@@ -101,7 +101,7 @@ func TestOnlyCopyIsFullySecure(t *testing.T) {
 }
 
 func TestTable1CopyIsTheOnlyAllYesRow(t *testing.T) {
-	rows, table, err := Table1(3)
+	rows, table, err := Table1(bench.Options{WindowMs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

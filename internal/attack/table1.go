@@ -22,50 +22,48 @@ type Table1Row struct {
 // system is considered to have unacceptable overhead (the paper's ✗).
 const perfThreshold = 0.65
 
-// Table1 reproduces Table 1: it attacks and benchmarks every system.
-func Table1(windowMs float64) ([]Table1Row, *bench.Table, error) {
-	// Baseline throughputs.
-	base := map[int]float64{}
-	for _, cores := range []int{1, 16} {
-		cfg := bench.DefaultConfig(bench.SysNoIOMMU, bench.RX, cores, 16384)
-		cfg.WindowMs = windowMs
-		r, err := bench.Run(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		base[cores] = r.Gbps
+// Table1 reproduces Table 1: it attacks and benchmarks every system. The
+// throughputs are Figure 1's points, read through bench.StreamSweep (RX,
+// 16 KiB messages, 1 and 16 cores), so inside a suite they come from the
+// report's run memo. The attack scenarios run as one point per system on
+// opt.Farm (serially when it is nil).
+func Table1(opt bench.Options) ([]Table1Row, *bench.Table, error) {
+	systems := bench.AllSystems
+	outs := make([]Outcome, len(systems))
+	err := opt.Farm.Map(len(systems), func(i int) error {
+		var err error
+		outs[i], err = Run(systems[i])
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	var rows []Table1Row
-	for _, sys := range bench.AllSystems {
-		out, err := Run(sys)
-		if err != nil {
+	opt.Systems = systems
+	opt.Sizes = []int{16384}
+	perf := map[int]map[string]map[int]bench.Result{}
+	for _, cores := range []int{1, 16} {
+		if perf[cores], err = bench.StreamSweep(bench.RX, cores, opt); err != nil {
 			return nil, nil, err
 		}
-		row := Table1Row{
-			System:         sys,
-			SubPageProtect: !out.SubPageLeak && !out.ArbitraryRead,
-			NoVulnWindow:   !out.WindowWrite && !out.ArbitraryRead,
+	}
+	ratio := func(sys string, cores int) float64 {
+		base := perf[cores][bench.SysNoIOMMU][16384].Gbps
+		if base <= 0 {
+			return 0
 		}
-		for _, cores := range []int{1, 16} {
-			cfg := bench.DefaultConfig(sys, bench.RX, cores, 16384)
-			cfg.WindowMs = windowMs
-			r, err := bench.Run(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			ratio := 0.0
-			if base[cores] > 0 {
-				ratio = r.Gbps / base[cores]
-			}
-			if cores == 1 {
-				row.SingleCoreRatio = ratio
-				row.SingleCorePerf = ratio >= perfThreshold
-			} else {
-				row.MultiCoreRatio = ratio
-				row.MultiCorePerf = ratio >= perfThreshold
-			}
+		return perf[cores][sys][16384].Gbps / base
+	}
+	rows := make([]Table1Row, len(systems))
+	for i, sys := range systems {
+		rows[i] = Table1Row{
+			System:          sys,
+			SubPageProtect:  !outs[i].SubPageLeak && !outs[i].ArbitraryRead,
+			NoVulnWindow:    !outs[i].WindowWrite && !outs[i].ArbitraryRead,
+			SingleCoreRatio: ratio(sys, 1),
+			MultiCoreRatio:  ratio(sys, 16),
 		}
-		rows = append(rows, row)
+		rows[i].SingleCorePerf = rows[i].SingleCoreRatio >= perfThreshold
+		rows[i].MultiCorePerf = rows[i].MultiCoreRatio >= perfThreshold
 	}
 	return rows, renderTable1(rows), nil
 }

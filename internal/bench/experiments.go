@@ -23,6 +23,10 @@ type Options struct {
 	// experiment calls still parallelize; RunSuite and the cmd/* drivers
 	// thread an explicitly-sized pool through here (-parallel).
 	Farm *Farm
+
+	// memo shares points between the sections of one RunSuite call (see
+	// runMemo); nil gives each experiment call its own.
+	memo *runMemo
 }
 
 // sharedFarm is the lazily-created default pool for Options without an
@@ -40,13 +44,15 @@ func (o Options) farm() *Farm {
 	return sharedFarm.f
 }
 
-// applyTo copies the option overrides into a run config.
-func (o Options) applyTo(cfg *Config) {
+// config is DefaultConfig with the options' window and cost model.
+func (o Options) config(system string, dir Direction, cores, msgSize int) Config {
+	cfg := DefaultConfig(system, dir, cores, msgSize)
 	cfg.WindowMs = o.window()
 	if o.Costs != nil {
 		c := *o.Costs
 		cfg.Costs = &c
 	}
+	return cfg
 }
 
 func (o Options) window() float64 {
@@ -76,36 +82,24 @@ func (o Options) systems() []string {
 // canonical point order, so results are bit-deterministic regardless of
 // worker count or completion order.
 func StreamSweep(dir Direction, cores int, opt Options) (map[string]map[int]Result, error) {
-	type point struct {
-		sys string
-		sz  int
-	}
-	var pts []point
+	var cfgs []Config
 	for _, sys := range opt.systems() {
 		for _, sz := range opt.sizes() {
-			pts = append(pts, point{sys, sz})
+			cfgs = append(cfgs, opt.config(sys, dir, cores, sz))
 		}
 	}
-	results := make([]Result, len(pts))
-	err := opt.farm().Map(len(pts), func(i int) error {
-		cfg := DefaultConfig(pts[i].sys, dir, cores, pts[i].sz)
-		opt.applyTo(&cfg)
-		r, err := Run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s/%s/%d: %w", pts[i].sys, dir, pts[i].sz, err)
-		}
-		results[i] = r
-		return nil
+	results, err := opt.runConfigs(cfgs, func(i int) string {
+		return fmt.Sprintf("%s/%s/%d", cfgs[i].System, dir, cfgs[i].MsgSize)
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]map[int]Result)
-	for i, pt := range pts {
-		if out[pt.sys] == nil {
-			out[pt.sys] = make(map[int]Result)
+	for i, cfg := range cfgs {
+		if out[cfg.System] == nil {
+			out[cfg.System] = make(map[int]Result)
 		}
-		out[pt.sys][pt.sz] = results[i]
+		out[cfg.System][cfg.MsgSize] = results[i]
 	}
 	return out, nil
 }
@@ -173,18 +167,7 @@ func Fig1(opt Options) (*Table, error) {
 	t.SetWinner("gbps", false)
 	systems := opt.systems()
 	coreCounts := []int{1, 16}
-	results := make([]Result, len(systems)*len(coreCounts))
-	err := opt.farm().Map(len(results), func(i int) error {
-		sys, cores := systems[i/len(coreCounts)], coreCounts[i%len(coreCounts)]
-		cfg := DefaultConfig(sys, RX, cores, 16384)
-		opt.applyTo(&cfg)
-		r, err := Run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s/%d cores: %w", sys, cores, err)
-		}
-		results[i] = r
-		return nil
-	})
+	results, err := opt.coreSweep(systems, coreCounts)
 	if err != nil {
 		return nil, err
 	}
@@ -223,18 +206,7 @@ func Fig1Extended(opt Options) (*Table, error) {
 	}
 	t.SetWinner("gbps", false)
 	systems := opt.systems()
-	results := make([]Result, len(systems)*len(coreCounts))
-	err := opt.farm().Map(len(results), func(i int) error {
-		sys, cores := systems[i/len(coreCounts)], coreCounts[i%len(coreCounts)]
-		cfg := DefaultConfig(sys, RX, cores, 16384)
-		opt.applyTo(&cfg)
-		r, err := Run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s/%d cores: %w", sys, cores, err)
-		}
-		results[i] = r
-		return nil
-	})
+	results, err := opt.coreSweep(systems, coreCounts)
 	if err != nil {
 		return nil, err
 	}
@@ -263,6 +235,20 @@ func Fig1Extended(opt Options) (*Table, error) {
 		t.AddRow(row...)
 	}
 	return t, nil
+}
+
+// coreSweep runs Figure 1's workload (TCP RX, 16 KiB messages) for every
+// system at every core count; results are system-major.
+func (o Options) coreSweep(systems []string, coreCounts []int) ([]Result, error) {
+	cfgs := make([]Config, 0, len(systems)*len(coreCounts))
+	for _, sys := range systems {
+		for _, cores := range coreCounts {
+			cfgs = append(cfgs, o.config(sys, RX, cores, 16384))
+		}
+	}
+	return o.runConfigs(cfgs, func(i int) string {
+		return fmt.Sprintf("%s/%d cores", cfgs[i].System, cfgs[i].Cores)
+	})
 }
 
 // Fig3 reproduces Figure 3: single-core TCP receive.
@@ -454,16 +440,12 @@ func MemoryConsumption(opt Options) (*Table, error) {
 		Columns: []string{"workload", "pool bytes", "pool MB", "in-flight buffers"},
 	}
 	dirs := []Direction{RX, TX}
-	results := make([]Result, len(dirs))
-	err := opt.farm().Map(len(dirs), func(i int) error {
-		cfg := DefaultConfig(SysCopy, dirs[i], 16, 65536)
-		opt.applyTo(&cfg)
-		r, err := Run(cfg)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
+	cfgs := make([]Config, len(dirs))
+	for i, dir := range dirs {
+		cfgs[i] = opt.config(SysCopy, dir, 16, 65536)
+	}
+	results, err := opt.runConfigs(cfgs, func(i int) string {
+		return fmt.Sprintf("%s/%s/16 cores", SysCopy, dirs[i])
 	})
 	if err != nil {
 		return nil, err

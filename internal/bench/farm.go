@@ -173,6 +173,15 @@ func (f *Farm) Map(n int, fn func(i int) error) error {
 	return errors.Join(grp.errs...)
 }
 
+// canceled is the error of a point this handle's Map never started,
+// which only a done context causes.
+func (f *Farm) canceled() error {
+	if f.ctx != nil && f.ctx.Err() != nil {
+		return f.ctx.Err()
+	}
+	return errors.New("farm: point never ran")
+}
+
 // mapSerial is the nil/serial/late-submission path: points run in order
 // on the calling goroutine, honouring ctx between points.
 func mapSerial(ctx context.Context, n int, fn func(i int) error) error {

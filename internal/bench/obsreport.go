@@ -125,8 +125,7 @@ func streamCyclePoints(dir Direction, cores, msgSize int, opt Options) []cyclePo
 	for _, sys := range opt.systems() {
 		sys := sys
 		pts = append(pts, cyclePoint{system: sys, run: func() (*obs.Profile, error) {
-			cfg := DefaultConfig(sys, dir, cores, msgSize)
-			opt.applyTo(&cfg)
+			cfg := opt.config(sys, dir, cores, msgSize)
 			cfg.Obs = obs.New(false)
 			r, err := Run(cfg)
 			if err != nil {

@@ -227,8 +227,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return &Machine{Eng: eng, Mem: m, IOMMU: u, Env: env, Mapper: mapper, NIC: n, Kmal: k, Driver: drv, Obs: cfg.Obs}, nil
 }
 
-// Run executes one benchmark configuration.
-func Run(cfg Config) (Result, error) {
+// withDefaults fills the zero fields Run treats as defaults (window,
+// ring, MTU and cost model), so equal runs have equal Configs.
+func (cfg Config) withDefaults() Config {
 	if cfg.WindowMs <= 0 {
 		cfg.WindowMs = 20
 	}
@@ -241,6 +242,12 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Costs == nil {
 		cfg.Costs = cycles.Default()
 	}
+	return cfg
+}
+
+// Run executes one benchmark configuration.
+func Run(cfg Config) (Result, error) {
+	cfg = cfg.withDefaults()
 	mach, err := NewMachine(cfg)
 	if err != nil {
 		return Result{}, err

@@ -111,21 +111,18 @@ func Sensitivity(opt Options) (*Table, int, error) {
 	}
 
 	perRow := len(FigureSystems) * len(claimPointCores)
-	results := make([]Result, len(rows)*perRow)
-	err := opt.farm().Map(len(results), func(i int) error {
-		row := rows[i/perRow]
-		sys := FigureSystems[(i%perRow)/len(claimPointCores)]
-		cores := claimPointCores[i%len(claimPointCores)]
-		cfg := DefaultConfig(sys, RX, cores, 16384)
-		cfg.WindowMs = opt.window()
-		c := *row.costs // private copy: cost models must never be shared
-		cfg.Costs = &c
-		r, e := Run(cfg)
-		if e != nil {
-			return fmt.Errorf("%s x%.2f %s/%d cores: %w", row.name, row.scale, sys, cores, e)
+	var cfgs []Config
+	for _, row := range rows {
+		ro := Options{WindowMs: opt.window(), Costs: row.costs}
+		for _, sys := range FigureSystems {
+			for _, cores := range claimPointCores {
+				cfgs = append(cfgs, ro.config(sys, RX, cores, 16384))
+			}
 		}
-		results[i] = r
-		return nil
+	}
+	results, err := opt.runConfigs(cfgs, func(i int) string {
+		row := rows[i/perRow]
+		return fmt.Sprintf("%s x%.2f %s/%d cores", row.name, row.scale, cfgs[i].System, cfgs[i].Cores)
 	})
 	if err != nil {
 		return nil, 0, err

@@ -47,7 +47,8 @@ func Suite(includeSensitivity bool) []Section {
 	if includeSensitivity {
 		s = append(s, Section{"sensitivity", func(o Options) (*Table, error) {
 			// Half the window: 11 cost models x 8 machines is the slow part.
-			t, violations, err := Sensitivity(Options{WindowMs: o.window() / 2, Costs: o.Costs, Farm: o.Farm})
+			o.WindowMs = o.window() / 2
+			t, violations, err := Sensitivity(o)
 			if err != nil {
 				return nil, err
 			}
@@ -66,6 +67,9 @@ func Suite(includeSensitivity bool) []Section {
 // machines) no longer pins a worker while the others idle. When
 // opt.Farm is already set the caller's pool is used and left open;
 // otherwise a fresh pool is created for the call and closed afterwards.
+// Each call has its own run memo, so a config several sections need
+// (Figure 1 inside its extension, Table 1 inside Figure 1, ...) is
+// simulated once per call.
 //
 // Section failures are aggregated with errors.Join and the completed
 // tables are still returned (nil slots mark the failed sections), so
@@ -76,6 +80,7 @@ func RunSuite(sections []Section, opt Options, parallelism int) ([]*Table, error
 		defer farm.Close()
 		opt.Farm = farm
 	}
+	opt.memo = newRunMemo()
 	tables := make([]*Table, len(sections))
 	errs := make([]error, len(sections))
 	var wg sync.WaitGroup

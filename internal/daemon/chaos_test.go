@@ -9,13 +9,17 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/bench"
 )
 
 // testDaemon starts an in-process daemon on a short socket path (sun_path
@@ -204,13 +208,25 @@ func TestDaemonOverloadFloodShedsWithTypedErrors(t *testing.T) {
 }
 
 func TestDaemonDegradedPreviewUnderOverload(t *testing.T) {
+	const previewMs = 0.5
 	d, c := testDaemon(t, func(cfg *Config) {
 		cfg.MaxInflight = 1
 		cfg.QueueBound = 1
-		cfg.PreviewWindowMs = 0.5
+		cfg.PreviewWindowMs = previewMs
 	})
-	// Saturate the single execution slot and the single admission seat
-	// with slow runs, then probe: the ladder must serve a preview.
+	// Flood runs hold the single execution slot until the test releases
+	// them, so saturation is an event rather than a race against how
+	// fast the simulation runs; previews execute for real.
+	release := make(chan struct{})
+	d.execute = func(ctx context.Context, farm *bench.Farm, spec RunSpec) (*Result, error) {
+		if spec.WindowMs == previewMs {
+			return Execute(ctx, farm, spec)
+		}
+		<-release
+		return nil, errors.New("flood run released")
+	}
+	// Occupy the slot and the single admission seat, then probe: the
+	// ladder must serve a preview.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -231,10 +247,11 @@ func TestDaemonDegradedPreviewUnderOverload(t *testing.T) {
 	// NoCache keeps the probe on the admission path (a cache hit would
 	// bypass the ladder); past the queue bound it must shed to a preview.
 	resp, err := c.Run(slowSpec(50), 0, true, false)
+	close(release)
+	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	if !resp.OK || !resp.Degraded {
 		t.Errorf("probe past the queue bound = %+v, want degraded preview", resp)
 	}

@@ -85,17 +85,22 @@ func Execute(ctx context.Context, farm *bench.Farm, spec RunSpec) (*Result, erro
 	return nil, fmt.Errorf("unknown tool %q", spec.Tool)
 }
 
-// execReproduce runs the selected suite sections concurrently with
-// Table 1 (which leads the report), then appends the farm table.
+// execReproduce runs the selected suite sections, Table 1 first, then
+// appends the farm table. Table 1 is an ordinary section: its
+// throughputs are Figure 1's points, shared through the suite's memo.
 func execReproduce(farm *bench.Farm, spec RunSpec) (*Result, error) {
-	sections := bench.Suite(!spec.SkipSensitivity)
-	runTable1 := true
+	var rows []attack.Table1Row
+	table1 := bench.Section{Name: "table1", Run: func(o bench.Options) (*bench.Table, error) {
+		r, t, err := attack.Table1(o)
+		rows = r
+		return t, err
+	}}
+	sections := append([]bench.Section{table1}, bench.Suite(!spec.SkipSensitivity)...)
 	if spec.Experiments != "all" {
 		want := map[string]bool{}
 		for _, n := range splitList(spec.Experiments) {
 			want[n] = true
 		}
-		runTable1 = want["table1"]
 		var filtered []bench.Section
 		for _, s := range sections {
 			if want[s.Name] {
@@ -103,19 +108,6 @@ func execReproduce(farm *bench.Farm, spec RunSpec) (*Result, error) {
 			}
 		}
 		sections = filtered
-	}
-
-	type table1Out struct {
-		rows []attack.Table1Row
-		tbl  *bench.Table
-		err  error
-	}
-	t1ch := make(chan table1Out, 1)
-	if runTable1 {
-		go func() {
-			rows, tbl, err := attack.Table1(spec.WindowMs)
-			t1ch <- table1Out{rows, tbl, err}
-		}()
 	}
 	stamp := func(tables []*bench.Table) *report.Artifact {
 		a := bench.Artifact("reproduce", spec.WindowMs, nil, tables)
@@ -126,16 +118,9 @@ func execReproduce(farm *bench.Farm, spec RunSpec) (*Result, error) {
 	if err != nil {
 		return &Result{Artifact: stamp(tables), Tables: tables}, err
 	}
-	var t1 table1Out
-	if runTable1 {
-		if t1 = <-t1ch; t1.err != nil {
-			return &Result{Artifact: stamp(tables), Tables: tables}, t1.err
-		}
-		tables = append([]*bench.Table{t1.tbl}, tables...)
-	}
 	a := stamp(append(tables, bench.FarmTable(farm.Stats())))
-	if runTable1 {
-		a.Attacks = attack.Verdicts(t1.rows)
+	if rows != nil {
+		a.Attacks = attack.Verdicts(rows)
 	}
 	return &Result{Artifact: a, Tables: tables}, nil
 }

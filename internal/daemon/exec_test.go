@@ -120,6 +120,34 @@ func TestDaemonExecReproduceWithTable1(t *testing.T) {
 	}
 }
 
+// TestDaemonExecTable1RunsOnTheFarm: Table 1 is a suite section, so its
+// twelve throughput points (six systems at 1 and 16 cores) and its six
+// attack machines all run as farm points, which keeps -parallel an exact
+// bound on concurrent simulations. Alongside Figure 1 its throughputs
+// come from the run memo and add no points.
+func TestDaemonExecTable1RunsOnTheFarm(t *testing.T) {
+	for _, tc := range []struct {
+		experiments string
+		points      uint64
+	}{
+		{"table1", 12 + 6},
+		{"table1,fig1", 12 + 6},
+	} {
+		farm := bench.NewFarm(2)
+		spec, err := RunSpec{Tool: "reproduce", WindowMs: 0.25, SkipSensitivity: true, Experiments: tc.experiments}.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Execute(context.Background(), farm, spec); err != nil {
+			t.Fatal(err)
+		}
+		if got := farm.Stats().Executed; got != tc.points {
+			t.Errorf("-experiment %s: farm executed %d points, want %d", tc.experiments, got, tc.points)
+		}
+		farm.Close()
+	}
+}
+
 func TestDaemonExecTenantBadCounts(t *testing.T) {
 	_, c := testDaemon(t, nil)
 	resp, err := c.Run(RunSpec{Tool: "tenantbench", Tenants: "two"}, 0, false, false)

@@ -31,7 +31,6 @@ type Source struct {
 	nextMsgAt   uint64
 	msgSeq      int
 	frameOffset int // bytes of the current message already sent
-	inflight    int // frames on the wire not yet delivered
 	pendingMsgs int // manual mode: messages queued by EnqueueMessage
 	stopped     bool
 	timerArmed  bool
@@ -43,20 +42,18 @@ type Source struct {
 
 	scratch []byte
 
-	// In-flight frames, delivered FIFO: per source the scheduled delivery
-	// times are monotonic (Wire.Reserve is) and the engine is FIFO for
-	// equal timestamps, so one cached callback popping from the front
-	// replaces a fresh closure per frame. Default-payload frames (zeros
-	// plus a 2-byte length header) carry data == nil and are regenerated
-	// at delivery from deliverBuf — a credit-limited source can hold tens
-	// of thousands of frames in flight, and materializing each one was
-	// the single largest item in the host heap profile. Frames from a
-	// payload hook are copied as before, into recycled buffers.
-	pending    []pendingFrame
-	pendingAt  int
+	// Frames on the wire, delivered in order: per source the delivery
+	// times are monotonic (Wire.Reserve is), so they form one sim.Stream
+	// and only the earliest sits in the engine's wake queue. A
+	// credit-limited source can hold thousands of frames in flight.
+	// Default-payload frames (zeros plus a 2-byte length header) carry
+	// data == nil and are regenerated at delivery from deliverBuf;
+	// materializing each one was once the largest item in the host heap
+	// profile. Frames from a payload hook are copied into recycled
+	// buffers.
+	onWire     *sim.Stream[pendingFrame]
 	free       [][]byte
 	deliverBuf []byte // all-zero past byte 1; headers patched in place
-	deliverCb  func(at uint64)
 	timerCb    func(now uint64)
 }
 
@@ -82,7 +79,7 @@ func NewSource(eng *sim.Engine, q *Queue, costs *cycles.Costs, msgSize, mtu int,
 	if costs.RemoteSyscallsPerSec > 0 {
 		s.interval = cycles.Hz / costs.RemoteSyscallsPerSec
 	}
-	s.deliverCb = s.deliver
+	s.onWire = sim.NewStream(eng, s.deliver)
 	s.timerCb = func(now uint64) {
 		s.timerArmed = false
 		s.pump(now)
@@ -131,7 +128,7 @@ func (s *Source) pump(now uint64) {
 				return
 			}
 		}
-		if s.q.RxCredits()-s.inflight <= 0 {
+		if s.q.RxCredits()-s.onWire.Len() <= 0 {
 			return // receiver-limited; credit hook will resume us
 		}
 		if s.frameOffset == 0 {
@@ -178,29 +175,17 @@ func (s *Source) pump(now uint64) {
 			copy(pf.data, payload)
 		}
 		end := s.wire.Reserve(now, frame) + s.costs.DMALatency
-		s.inflight++
 		s.FramesSent++
 		s.BytesSent += uint64(frame)
-		s.pending = append(s.pending, pf)
-		s.eng.Schedule(end, s.deliverCb)
+		s.onWire.Schedule(end, pf)
 	}
 }
 
-// deliver completes the oldest in-flight frame (engine context). One
-// scheduled deliverCb exists per pending entry and per-source delivery is
-// FIFO, so popping the front is always the frame this callback was
-// scheduled for. DeliverFrame consumes the payload synchronously (the DMA
-// write copies it into simulated memory), so buffers are shared/recycled
-// immediately after.
-func (s *Source) deliver(at uint64) {
-	pf := s.pending[s.pendingAt]
-	s.pending[s.pendingAt] = pendingFrame{}
-	s.pendingAt++
-	if s.pendingAt == len(s.pending) {
-		s.pending = s.pending[:0]
-		s.pendingAt = 0
-	}
-	s.inflight--
+// deliver completes the oldest in-flight frame (engine context).
+// DeliverFrame consumes the payload synchronously (the DMA write copies
+// it into simulated memory), so buffers are shared/recycled immediately
+// after.
+func (s *Source) deliver(at uint64, pf pendingFrame) {
 	data := pf.data
 	if data == nil {
 		// Default wire format: a 2-byte length header, standing in for

@@ -79,3 +79,52 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 	b.ResetTimer()
 	e.Run(^uint64(0))
 }
+
+// BenchmarkEngineStream measures the in-flight-frame pattern of
+// nic.Source: 16 sources with 256 entries in flight each, where every
+// delivery schedules the source's next entry. "schedule" gives each
+// entry its own Engine.Schedule, so the wake heap holds all 4096;
+// "stream" keeps each source's entries in a Stream, so the heap holds
+// only the 16 heads. ns/op is per delivered entry.
+func BenchmarkEngineStream(b *testing.B) {
+	const sources, inflight, gap = 16, 256, 100
+	horizon := uint64(inflight * gap)
+	b.Run("schedule", func(b *testing.B) {
+		e := NewEngine()
+		left := b.N
+		for s := 0; s < sources; s++ {
+			var cb func(now uint64)
+			cb = func(now uint64) {
+				if left > 0 {
+					left--
+					e.Schedule(now+horizon, cb)
+				}
+			}
+			for k := 0; k < inflight; k++ {
+				e.Schedule(uint64(k*gap+s), cb)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run(^uint64(0))
+	})
+	b.Run("stream", func(b *testing.B) {
+		e := NewEngine()
+		left := b.N
+		for s := 0; s < sources; s++ {
+			var st *Stream[int]
+			st = NewStream(e, func(now uint64, v int) {
+				if left > 0 {
+					left--
+					st.Schedule(now+horizon, v)
+				}
+			})
+			for k := 0; k < inflight; k++ {
+				st.Schedule(uint64(k*gap+s), k)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run(^uint64(0))
+	})
+}

@@ -125,6 +125,12 @@ func (e *Engine) pushRaw(it wakeItem) {
 func (e *Engine) push(it wakeItem) {
 	it.seq = e.seq
 	e.seq++
+	e.place(it)
+}
+
+// place queues an item that already carries its seq: in the far list if
+// the current Run window cannot reach it, in the wake heap otherwise.
+func (e *Engine) place(it wakeItem) {
 	if e.running && it.at > e.limit {
 		e.far = append(e.far, it)
 		return
