@@ -22,11 +22,14 @@ race:
 # real sweep points across multi-worker farms (bench sections, the
 # per-report run memo, chaos variant triples, magazine stats counters,
 # the shared mem chunk free list), so any cross-engine data race on
-# shared state fails fast without the cost of `make race`.
+# shared state fails fast without the cost of `make race`. It also runs
+# the engine's coroutine hand-off tests (panics, Stop, fast-yield and
+# stream equivalence), where Run and every proc share state across
+# goroutine stacks.
 race-smoke:
 	$(GO) test -race -count=1 \
-		-run 'Farm|RunSuite|RunMemo|PointSeed|MagazineStatsRace|ChunkPoolRace|Fig1Extended|ParallelHost|Campaign|Tenant|Store|Daemon' \
-		./internal/bench/ ./internal/chaos/ ./internal/iova/ ./internal/shadow/ ./internal/campaign/ ./internal/tenant/ ./internal/store/ ./internal/daemon/ ./internal/mem/
+		-run 'Farm|RunSuite|RunMemo|PointSeed|MagazineStatsRace|ChunkPoolRace|Fig1Extended|ParallelHost|Campaign|Tenant|Store|Daemon|Coroutine|FastYieldEquivalence|StreamMatchesPerEntrySchedule' \
+		./internal/bench/ ./internal/chaos/ ./internal/iova/ ./internal/shadow/ ./internal/campaign/ ./internal/tenant/ ./internal/store/ ./internal/daemon/ ./internal/mem/ ./internal/sim/
 
 # Fast end-to-end check: regenerate the full evaluation at a 1 ms window,
 # write the machine-readable artifact, and gate it against the committed

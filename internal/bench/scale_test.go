@@ -64,10 +64,11 @@ func fig1extArtifact(t *testing.T, parallel int) []byte {
 
 // TestFig1ExtendedDeterminism is the scale-out payoff's contract: the
 // 64/128-core sweep — the heaviest users of the sharded IOVA index, the
-// Meta arenas and the baton dispatch — produces byte-identical artifacts
-// at -parallel 1, 4 and GOMAXPROCS. Under `go test -race` this is also
-// the farmed-parallel race check for those sharded structures: four real
-// worker goroutines each drive full 128-core machines concurrently.
+// Meta arenas and the engine's proc switches — produces byte-identical
+// artifacts at -parallel 1, 4 and GOMAXPROCS. Under `go test -race` this
+// is also the farmed-parallel race check for those sharded structures:
+// four real worker goroutines each drive full 128-core machines
+// concurrently.
 func TestFig1ExtendedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep comparison")

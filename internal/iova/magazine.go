@@ -18,8 +18,8 @@ type MagazineAllocator struct {
 	// mags[core] holds that core's per-size stacks of cached ranges.
 	mags []coreMag
 
-	// Stats. Atomic: inside one engine the simulator's park/resume
-	// handshake orders all accesses, but the bench Farm runs many
+	// Stats. Atomic: inside one engine the coroutine switches between
+	// Run and its procs order all accesses, but the bench Farm runs many
 	// engines on real OS threads, and a stats reader (obs publishing,
 	// sweep-end merges) must be able to observe any allocator without a
 	// data race. Plain uint64 increments here were the counters the race

@@ -7,8 +7,7 @@ import (
 
 // BenchmarkEngineFence measures the fence hot path: one proc doing
 // Work+yield with nothing else pending, which should take the same-proc
-// fast path (no park/resume channel round-trip, no heap traffic, zero
-// allocations per op).
+// fast path (no switch to Run, no heap traffic, zero allocations per op).
 func BenchmarkEngineFence(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("w", 0, 0, func(p *Proc) {
@@ -23,7 +22,7 @@ func BenchmarkEngineFence(b *testing.B) {
 
 // BenchmarkEngineFenceContended measures the slow path: two procs at
 // interleaved timestamps, so every fence goes through the wake queue and
-// the park/resume handshake.
+// a coroutine switch to Run and on to the other proc.
 func BenchmarkEngineFenceContended(b *testing.B) {
 	e := NewEngine()
 	for c := 0; c < 2; c++ {
@@ -40,8 +39,8 @@ func BenchmarkEngineFenceContended(b *testing.B) {
 
 // BenchmarkEngineDispatch measures the many-proc scheduling cost that
 // dominates 64/128-core simulations: P procs at interleaved timestamps,
-// every fence a cross-proc handoff through the baton dispatch (one
-// channel send per switch, timer heap at depth P). ns/op is per fence of
+// every fence a cross-proc switch through Run (two coroutine switches,
+// wake heap at depth P). ns/op is per fence of
 // one proc; the b.N work is split across procs so total dispatches stay
 // comparable between sizes.
 func BenchmarkEngineDispatch(b *testing.B) {

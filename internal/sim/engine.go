@@ -15,32 +15,27 @@ import (
 // Engine is the simulation scheduler. Create one with NewEngine, add Procs
 // with Spawn and hardware callbacks with Schedule, then call Run.
 //
-// Dispatch is baton-passing: whichever goroutine currently runs (the Run
-// caller or a simulated proc) pops the next wake item and either executes
-// it inline (callbacks, or the proc's own re-wake) or hands the baton to
-// the target proc with a single channel send. A cross-proc switch
-// therefore costs one goroutine handoff instead of the classic two
-// (proc->scheduler, scheduler->proc), which dominates many-core runs where
-// nearly every yield switches procs. Dispatch order is identical to a
-// central scheduler popping the same heap, so virtual-time results are
-// bit-identical; noFastYield selects the retained central scheduler
-// (runReference) to prove it.
+// Run is the only scheduler loop, and every proc is an iter.Pull
+// coroutine. Run pops the earliest wake item, runs a callback itself or
+// resumes the target proc through its next function; the proc runs until
+// it parks, which yields straight back to Run. A switch between procs is
+// therefore two direct coroutine switches (proc to Run, Run to proc), with
+// no channel operation and no trip through the Go scheduler. A proc that
+// yields while every other pending item is later does not switch at all
+// (tryFastYield).
 type Engine struct {
 	now      uint64
 	seq      uint64
 	pq       []wakeItem // 4-ary min-heap ordered by (at, seq)
 	far      []wakeItem // items beyond the current window's horizon
 	limit    uint64     // current Run's `until` (valid while running)
-	parked   chan struct{}
 	procs    []*Proc
-	panicked *Proc // proc whose panic must propagate out of Run
 	stopping bool
 	running  bool
 
-	// noFastYield forces every fence/sleep through the park/resume slow
-	// path and every dispatch through the central reference scheduler
-	// (the pre-optimization semantics). Tests use it to prove the
-	// baton/fast paths cannot reorder the simulation.
+	// noFastYield disables tryFastYield, so every fence and sleep parks
+	// and is re-dispatched through the wake queue. Tests use it as the
+	// reference that proves the fast path cannot reorder the simulation.
 	noFastYield bool
 
 	// obs, when set via SetObserver before Spawn, is handed to every
@@ -55,9 +50,7 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{parked: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the engine's current virtual time in cycles.
 func (e *Engine) Now() uint64 { return e.now }
@@ -76,7 +69,7 @@ func (e *Engine) Procs() []*Proc {
 func (e *Engine) Dispatches() uint64 { return e.dispatches }
 
 // FastYields returns how many fence/sleep operations took the same-proc
-// fast path, skipping the park/resume channel round-trip.
+// fast path, continuing without a switch to Run.
 func (e *Engine) FastYields() uint64 { return e.fastYields }
 
 // LazyDrops returns how many cancelled timers were discarded from the wake
@@ -229,10 +222,9 @@ func (e *Engine) tryFastYield(at uint64) bool {
 }
 
 // Schedule registers a callback to run at virtual time at. Callbacks run in
-// engine context: they may signal conditions, schedule further callbacks and
-// wake procs, but must not block. With baton dispatch "engine context"
-// means "on whichever goroutine holds the baton"; callbacks cannot tell
-// the difference.
+// engine context, which is Run's own loop between proc steps: they may
+// signal conditions, schedule further callbacks and wake procs, but must
+// not block.
 func (e *Engine) Schedule(at uint64, fn func(now uint64)) {
 	if fn == nil {
 		panic("sim: Schedule with nil fn")
@@ -274,8 +266,8 @@ func (e *Engine) ScheduleTimer(at uint64, fn func(now uint64)) *Timer {
 	return t
 }
 
-// Spawn creates a simulated core thread. fn runs in its own goroutine but
-// under strict engine scheduling: it must interact with virtual time only
+// Spawn creates a simulated core thread. fn runs as a coroutine under
+// strict engine scheduling: it must interact with virtual time only
 // through the Proc's methods. The proc starts at virtual time start.
 func (e *Engine) Spawn(name string, core int, start uint64, fn func(p *Proc)) *Proc {
 	if start < e.now {
@@ -286,79 +278,18 @@ func (e *Engine) Spawn(name string, core int, start uint64, fn func(p *Proc)) *P
 		name:   name,
 		core:   core,
 		clock:  start,
-		resume: make(chan struct{}),
 		tagIdx: make(map[string]int),
 		obs:    e.obs,
 	}
+	p.start(fn)
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil && r != errStopped {
-				// Real bug in simulated code: hand it to the Run
-				// caller's goroutine so tests can catch it.
-				p.panicVal = r
-				e.panicked = p
-			}
-			p.done = true
-			e.parked <- struct{}{}
-		}()
-		if !e.stopping {
-			fn(p)
-		}
-	}()
 	e.push(wakeItem{at: start, p: p})
 	return p
 }
 
-// dispatch runs the scheduler loop on the yielding proc's own goroutine —
-// the baton. It returns when cur's own wake item is next (cur simply keeps
-// running: the cross-proc generalization of the same-proc fast yield);
-// otherwise it hands the baton to the successor proc (one channel send) or
-// back to the Run goroutine (window exhausted / queue drained) and blocks
-// until a later baton holder pops cur's item and resumes it.
-func (e *Engine) dispatch(cur *Proc) {
-	for {
-		e.pruneTop()
-		if len(e.pq) == 0 || e.pq[0].at > e.limit {
-			e.parked <- struct{}{}
-			<-cur.resume
-			return
-		}
-		it := e.popMin()
-		if it.at > e.now {
-			e.now = it.at
-		}
-		if it.fn != nil {
-			e.dispatches++
-			if it.t != nil {
-				it.t.fired = true
-			}
-			it.fn(e.now)
-			continue
-		}
-		p := it.p
-		if p.done {
-			continue
-		}
-		e.dispatches++
-		p.wakeAt = it.at
-		if p == cur {
-			return
-		}
-		p.resume <- struct{}{}
-		<-cur.resume
-		return
-	}
-}
-
 // Run executes the simulation until virtual time `until` or until there is
-// no pending work. It returns the final virtual time.
-//
-// The Run goroutine only performs the first handoff of each baton chain:
-// it pops the earliest item, hands the baton to that proc, and blocks
-// until the baton comes back (window exhausted, queue drained, or a proc
-// exited or panicked). Procs dispatch each other directly in between.
+// no pending work. It returns the final virtual time. A panic in a proc or
+// a callback propagates out of Run with its original value.
 func (e *Engine) Run(until uint64) uint64 {
 	if e.running {
 		panic("sim: re-entrant Run")
@@ -367,9 +298,6 @@ func (e *Engine) Run(until uint64) uint64 {
 	e.limit = until
 	defer func() { e.running = false }()
 	e.mergeFar()
-	if e.noFastYield {
-		return e.runReference(until)
-	}
 	for {
 		e.pruneTop()
 		if len(e.pq) == 0 {
@@ -397,12 +325,7 @@ func (e *Engine) Run(until uint64) uint64 {
 		}
 		e.dispatches++
 		p.wakeAt = it.at
-		p.resume <- struct{}{}
-		<-e.parked
-		if pp := e.panicked; pp != nil {
-			e.panicked = nil
-			panic(pp.panicVal)
-		}
+		p.next()
 	}
 	if e.now < until {
 		e.now = until
@@ -410,62 +333,27 @@ func (e *Engine) Run(until uint64) uint64 {
 	return e.now
 }
 
-// runReference is the pre-baton central scheduler: every proc switch goes
-// proc -> Run goroutine -> proc, two channel handoffs per dispatch. It is
-// retained, selected by noFastYield, as the semantic reference the
-// equivalence tests compare the baton/fast-yield paths against.
-func (e *Engine) runReference(until uint64) uint64 {
-	for len(e.pq) > 0 {
-		it := e.popMin()
-		if it.t != nil && it.t.cancelled {
-			e.lazyDrops++
-			continue
-		}
-		if it.at > until {
-			e.pushRaw(it)
-			e.now = until
-			return e.now
-		}
-		if it.at > e.now {
-			e.now = it.at
-		}
-		if it.fn != nil {
-			e.dispatches++
-			if it.t != nil {
-				it.t.fired = true
-			}
-			it.fn(e.now)
-			continue
-		}
-		p := it.p
-		if p.done {
-			continue
-		}
-		e.dispatches++
-		p.wakeAt = it.at
-		p.resume <- struct{}{}
-		<-e.parked
-		if pp := e.panicked; pp != nil {
-			e.panicked = nil
-			panic(pp.panicVal)
-		}
-	}
-	if e.now < until {
-		e.now = until
-	}
-	return e.now
-}
-
-// Stop terminates all live procs. After Stop the engine must not be reused.
+// Stop unwinds every live proc in spawn order: the proc's pending yield
+// reports false, so it panics with errStopped, which its coroutine
+// absorbs. A proc that never started is discarded without running. A
+// panic raised while a proc unwinds (by one of its deferred calls)
+// propagates out of Stop once the remaining procs are stopped too. After
+// Stop the engine must not be reused.
 func (e *Engine) Stop() {
 	e.stopping = true
-	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-e.parked
+	e.stopFrom(0)
+}
+
+// stopFrom stops procs[i:]. The deferred recursion keeps stopping the
+// rest when one proc's unwinding panics.
+func (e *Engine) stopFrom(i int) {
+	if i == len(e.procs) {
+		return
 	}
+	defer e.stopFrom(i + 1)
+	p := e.procs[i]
+	p.done = true
+	p.stop()
 }
 
 var errStopped = fmt.Errorf("sim: engine stopped")

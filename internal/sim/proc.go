@@ -1,7 +1,17 @@
+// iter.Pull needs Go 1.23, but the module declares go 1.22:
+// benchmark/go.mod pins 1.22 and builds this module through a replace
+// directive, so raising the module's version breaks that build with
+// "updates to go.mod needed". This constraint raises the Go version of
+// this file alone, which is the version go vet checks iter.Pull against.
+
+//go:build go1.23
+
 package sim
 
+import "iter"
+
 // Proc is a simulated core thread. All methods must be called from within
-// the proc's own goroutine (i.e. from the fn passed to Spawn), except the
+// the proc's own coroutine (i.e. from the fn passed to Spawn), except the
 // read-only stats accessors, which are safe once the engine is idle.
 type Proc struct {
 	eng  *Engine
@@ -23,9 +33,12 @@ type Proc struct {
 	tagCache [8]tagCacheEntry
 	tagHand  uint8 // round-robin victim pointer into tagCache
 
-	resume   chan struct{}
-	done     bool
-	panicVal interface{}
+	// The proc's coroutine (see start): Run resumes it with next, park
+	// suspends it with yield, Stop unwinds it with stop.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	done  bool
 
 	wakeAt     uint64 // set by the engine before resuming
 	wakeBusy   bool   // whether the jump to wakeAt counts as busy
@@ -103,24 +116,32 @@ func (p *Proc) tagSlotSlow(tag string) int {
 	return idx
 }
 
-// park hands control back to the engine and blocks until resumed. On resume
-// the proc's clock jumps to the wake time; the jump is counted busy (with
-// wakeTag) if wakeBusy is set (spinlock handoffs), idle otherwise.
-//
-// On the default path the "engine" is the baton dispatch loop run by this
-// very goroutine (Engine.dispatch): the proc dispatches its successor
-// itself and only blocks when another proc truly runs next. noFastYield
-// selects the reference central scheduler instead, which costs the classic
-// two channel handoffs per switch.
+// start makes fn the body of p's coroutine. iter.Pull gives the
+// coroutine its own stack, but control passes only by direct switches: Run
+// resumes the proc through next and park suspends it through yield. A
+// panic in fn reaches the caller of next or stop (Run's or Stop's caller)
+// with its original value; the errStopped unwinding that Stop starts ends
+// the coroutine quietly.
+func (p *Proc) start(fn func(p *Proc)) {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.done = true
+			if r := recover(); r != nil && r != errStopped {
+				panic(r)
+			}
+		}()
+		fn(p)
+	})
+}
+
+// park suspends the proc, handing control back to Run, until Run resumes
+// it. On resume the proc's clock jumps to the wake time; the jump is
+// counted busy (with wakeTag) if wakeBusy is set (spinlock handoffs), idle
+// otherwise. If Stop resumes it instead, yield reports false and the proc
+// unwinds with errStopped.
 func (p *Proc) park() {
-	e := p.eng
-	if e.noFastYield {
-		e.parked <- struct{}{}
-		<-p.resume
-	} else {
-		e.dispatch(p)
-	}
-	if e.stopping {
+	if !p.yield(struct{}{}) {
 		panic(errStopped)
 	}
 	if p.wakeAt > p.clock {

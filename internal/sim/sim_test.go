@@ -444,8 +444,8 @@ func TestCancelAfterFireIsHarmless(t *testing.T) {
 // path: a randomized (fixed-seed) mix of work, sleeps, lock contention,
 // timers and cond signals must produce bit-identical per-proc clocks, busy
 // cycles and tagged totals whether the fast path is enabled (default) or
-// every yield is forced through the park/resume slow path. Run with
-// -count=10 to check stability across goroutine schedules.
+// every yield parks and is re-dispatched through Run's wake queue
+// (noFastYield, the reference).
 func TestFastYieldEquivalence(t *testing.T) {
 	type result struct {
 		clock, busy uint64

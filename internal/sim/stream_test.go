@@ -109,10 +109,10 @@ func streamScript(useStream, noFast bool, seed int64) (trace []streamEvent, disp
 
 // TestStreamMatchesPerEntrySchedule is the determinism guard for
 // sim.Stream: keeping only each source's head in the wake queue must
-// dispatch exactly what one Engine.Schedule per entry dispatches, under
-// both the baton dispatcher and the noFastYield reference scheduler.
-// (Dispatch counts differ between the two schedulers — fast yields are
-// not dispatches — so counts are compared within one scheduler.)
+// dispatch exactly what one Engine.Schedule per entry dispatches, with the
+// fast yield on and off (noFastYield, the reference). (Dispatch counts
+// differ between the two settings — fast yields are not dispatches — so
+// counts are compared within one setting.)
 func TestStreamMatchesPerEntrySchedule(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		ref, _, _ := streamScript(false, true, seed)
