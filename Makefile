@@ -128,18 +128,28 @@ profile:
 		-cpuprofile /tmp/cpu.prof -memprofile /tmp/mem.prof > /dev/null
 	@echo "wrote /tmp/cpu.prof /tmp/mem.prof"
 
-# Native coverage-guided fuzzing of the two lowest-level contracts
-# (IOMMU translation vs. a model page table; mem access vs. a model
-# byte store), seeded from dmafuzz-generated corpora. Short budgets —
-# this is a smoke pass; raise -fuzztime for a real fuzzing session.
+# Native coverage-guided fuzzing, every target: IOMMU translation vs. a
+# model page table and mem access vs. a model byte store (both seeded
+# from dmafuzz-generated corpora), the shadow pool's IOVA metadata
+# decoder, and the KV server's request decoder. Short budgets — this is
+# a smoke pass; raise -fuzztime for a real fuzzing session.
 fuzz:
 	$(GO) test ./internal/iommu/ -run '^$$' -fuzz '^FuzzTranslate$$' -fuzztime 10s
 	$(GO) test ./internal/mem/ -run '^$$' -fuzz '^FuzzAccess$$' -fuzztime 10s
+	$(GO) test ./internal/shadow/ -run '^$$' -fuzz '^FuzzIOVADecode$$' -fuzztime 10s
+	$(GO) test ./internal/kv/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s
+
+# The security oracle's line for a stale-IOVA write on a backend with no
+# declared window: the canaries below must print it, so a dmafuzz that
+# fails for any other reason (a misspelled backend) does not count.
+STALE_WRITE = security: [0-9]* stale-IOVA device writes reached OS memory
 
 # Deterministic differential-fuzzing smoke for CI (~10 s): fixed seeds
 # through every backend and all three oracle families, a byte-identical
-# determinism check, and a canary that the harness still catches the
-# reintroduced deferred-window bug (strict unmap skipping invalidation).
+# determinism check, and two canaries that the harness still catches a
+# reintroduced stale window: strict unmap skipping invalidation
+# (skipinval), and copy-degraded's spill unmaps skipping it
+# (spillnoinval).
 fuzz-smoke:
 	$(GO) run ./cmd/dmafuzz -seed 1 -n 500 > /dev/null
 	$(GO) run ./cmd/dmafuzz -seed 2 -n 500 > /dev/null
@@ -147,17 +157,22 @@ fuzz-smoke:
 	$(GO) run ./cmd/dmafuzz -seed 1 -n 500 -json > /tmp/dmafuzz-a.json
 	$(GO) run ./cmd/dmafuzz -seed 1 -n 500 -json > /tmp/dmafuzz-b.json
 	cmp /tmp/dmafuzz-a.json /tmp/dmafuzz-b.json
-	@if $(GO) run ./cmd/dmafuzz -seed 1 -n 200 -backends strict \
-		-inject-bug skipinval -no-minimize > /dev/null 2>&1; then \
-		echo "fuzz-smoke: reintroduced skipinval bug NOT caught"; exit 1; \
-	fi
-	@echo "fuzz-smoke: oracles pass on fixed seeds; injected bug caught"
+	@$(GO) run ./cmd/dmafuzz -seed 1 -n 200 -backends strict \
+		-inject-bug skipinval -no-minimize 2>&1 > /dev/null | grep '$(STALE_WRITE)' > /dev/null || \
+		{ echo "fuzz-smoke: reintroduced skipinval bug NOT caught"; exit 1; }
+	@$(GO) run ./cmd/dmafuzz -seed 1 -n 200 -backends copy-degraded \
+		-inject-bug spillnoinval -no-minimize 2>&1 > /dev/null | grep '$(STALE_WRITE)' > /dev/null || \
+		{ echo "fuzz-smoke: reintroduced spillnoinval bug NOT caught"; exit 1; }
+	@echo "fuzz-smoke: oracles pass on fixed seeds; both injected bugs caught"
 
 # Coverage gate: total statement coverage must not drop below the
 # committed floor in ci/coverage-baseline.txt. Raise the floor when
-# coverage improves; never lower it to make CI pass.
+# coverage improves; never lower it to make CI pass. It runs every test,
+# so it is also ci's non-race test run: on failure it prints the output
+# of the failing packages.
 cover:
-	$(GO) test -count=1 -coverprofile=/tmp/coverage.out ./... > /dev/null
+	@$(GO) test -count=1 -coverprofile=/tmp/coverage.out ./... > /tmp/coverage.log 2>&1 || \
+		{ grep -Ev '^ok |coverage: 0\.0% of statements$$' /tmp/coverage.log; exit 1; }
 	@total=$$($(GO) tool cover -func=/tmp/coverage.out | tail -1 | awk '{gsub(/%/,""); print $$3}'); \
 	floor=$$(cat ci/coverage-baseline.txt); \
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { \
@@ -169,4 +184,6 @@ cover:
 doc-check:
 	$(GO) run ./ci/doccheck
 
-ci: vet test race race-smoke smoke scale-smoke chaos-smoke attack-smoke tenant-smoke daemon-smoke fuzz-smoke cover doc-check
+# Each test runs once: cover runs every test that `test` would, and race
+# every test that race-smoke would, so neither of those two is listed.
+ci: vet race smoke scale-smoke chaos-smoke attack-smoke tenant-smoke daemon-smoke fuzz-smoke cover doc-check

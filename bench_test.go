@@ -15,8 +15,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
+	"repro/internal/campaign"
 	"repro/internal/cycles"
 )
 
@@ -146,7 +146,7 @@ func BenchmarkFig11Memcached(b *testing.B) {
 // BenchmarkTable1SecurityMatrix regenerates Table 1 (attacks + perf).
 func BenchmarkTable1SecurityMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := attack.Table1(bench.Options{WindowMs: 4})
+		rows, _, err := campaign.Table1(bench.Options{WindowMs: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,8 +17,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
+	"repro/internal/campaign"
 	"repro/internal/trace"
 )
 
@@ -46,7 +46,7 @@ func run(opts options, stdout io.Writer) error {
 	fmt.Fprintln(stdout)
 	var failures []string
 	for _, sys := range opts.systems {
-		out, err := attack.Run(sys)
+		results, faults, err := campaign.RunTable1(sys, nil)
 		if err != nil {
 			// Partial failure: surface the error, keep the partial outcome
 			// visible, and keep going — the other systems' results matter.
@@ -54,15 +54,16 @@ func run(opts options, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "%-10s FAILED: %v\n", sys, err)
 			continue
 		}
+		leak, window, arbitrary := results[0], results[1], results[2]
 		fmt.Fprintf(stdout, "%-10s sub-page leak: %-5v  post-unmap write landed: %-5v  arbitrary DMA: %-5v  faults blocked: %d\n",
-			sys, out.SubPageLeak, out.WindowWrite, out.ArbitraryRead, out.Faults)
-		if out.SubPageLeak {
-			fmt.Fprintf(stdout, "           leaked co-located secret: %q\n", out.LeakedBytes)
+			sys, leak.Success, window.Success, arbitrary.Success, faults)
+		if leak.Success {
+			fmt.Fprintf(stdout, "           leaked co-located secret: %q\n", leak.Leaked)
 		}
 	}
 	fmt.Fprintln(stdout)
 
-	rows, table, err := attack.Table1(bench.Options{WindowMs: opts.window})
+	verdicts, table, err := campaign.Table1(bench.Options{WindowMs: opts.window})
 	if err != nil {
 		return err
 	}
@@ -70,7 +71,7 @@ func run(opts options, stdout io.Writer) error {
 	if opts.jsonOut != "" {
 		a := bench.Artifact("attackdemo", opts.window, nil, []*bench.Table{table})
 		a.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-		a.Attacks = attack.Verdicts(rows)
+		a.Attacks = verdicts
 		if err := a.WriteFile(opts.jsonOut); err != nil {
 			return err
 		}
@@ -79,7 +80,7 @@ func run(opts options, stdout io.Writer) error {
 	if opts.sweep {
 		delays := []float64{1, 10, 100, 1000, 5000, 9000, 11000, 20000}
 		for _, sys := range []string{bench.SysLinuxDefer, bench.SysIdentityDefer, bench.SysSelfInval, bench.SysLinuxStrict, bench.SysCopy} {
-			samples, err := attack.WindowSweep(sys, delays)
+			samples, err := campaign.WindowSweep(sys, delays)
 			if err != nil {
 				return err
 			}
@@ -127,11 +128,11 @@ func main() {
 func dumpAttackTrace(stdout io.Writer) error {
 	fmt.Fprintln(stdout, "IOMMU event trace of the deferred-window attack (system: defer):")
 	tr := trace.New(64)
-	out, err := attack.RunTraced(bench.SysLinuxDefer, tr)
+	results, _, err := campaign.RunTable1(bench.SysLinuxDefer, tr)
 	if err != nil {
 		return err
 	}
 	tr.Dump(stdout)
-	fmt.Fprintf(stdout, "(attack outcome: post-unmap write landed = %v)\n\n", out.WindowWrite)
+	fmt.Fprintf(stdout, "(attack outcome: post-unmap write landed = %v)\n\n", results[1].Success)
 	return nil
 }

@@ -41,12 +41,8 @@ func RunMixed(system string, netCores, blkCores int, windowMs float64) (MixedRes
 
 	newMapperFor := func(dev iommu.DeviceID, hint bool) (dmaapi.Mapper, *dmaapi.Env, error) {
 		env := &dmaapi.Env{Eng: eng, Mem: m, IOMMU: u, Costs: costs, Dev: dev, Cores: totalCores}
-		if system == SysCopy {
-			var opts []core.Option
-			if hint {
-				opts = append(opts, core.WithHint(netstack.PacketLenHint))
-			}
-			mp, err := core.NewShadowMapper(env, opts...)
+		if system == SysCopy && !hint {
+			mp, err := core.NewShadowMapper(env)
 			return mp, env, err
 		}
 		mp, err := NewMapper(system, env)

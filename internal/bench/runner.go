@@ -21,43 +21,6 @@ import (
 	"repro/internal/trace"
 )
 
-// System names, matching the paper's figure legends.
-const (
-	SysNoIOMMU        = "no iommu"
-	SysCopy           = "copy"
-	SysIdentityDefer  = "identity-"
-	SysIdentityStrict = "identity+"
-	SysLinuxStrict    = "strict"
-	SysLinuxDefer     = "defer"
-)
-
-// FigureSystems is the four-system comparison used by Figures 3–10.
-var FigureSystems = []string{SysNoIOMMU, SysCopy, SysIdentityDefer, SysIdentityStrict}
-
-// AllSystems adds the stock-Linux baselines (Figure 1 / Table 1).
-var AllSystems = []string{SysNoIOMMU, SysCopy, SysIdentityDefer, SysIdentityStrict, SysLinuxDefer, SysLinuxStrict}
-
-// Related-work systems beyond the paper's own evaluation (§7): Linux's
-// SWIOTLB bounce buffering (copying without protection) and the Basu et
-// al. self-invalidating IOMMU hardware proposal.
-const (
-	SysSWIOTLB   = "swiotlb"
-	SysSelfInval = "selfinval"
-)
-
-// ExtendedSystems is AllSystems plus the related-work designs.
-var ExtendedSystems = append(append([]string{}, AllSystems...), SysSWIOTLB, SysSelfInval)
-
-// IsSystem reports whether name is a known protection backend.
-func IsSystem(name string) bool {
-	for _, s := range ExtendedSystems {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Direction selects the workload.
 type Direction int
 
@@ -140,29 +103,6 @@ type Result struct {
 	// Profile is the cycle-attribution snapshot (nil unless Config.Obs was
 	// set); TotalBusy is the workload procs' summed busy cycles.
 	Profile *obs.Profile
-}
-
-// NewMapper instantiates a protection strategy by name.
-func NewMapper(name string, env *dmaapi.Env) (dmaapi.Mapper, error) {
-	switch name {
-	case SysNoIOMMU:
-		return dmaapi.NewNoIOMMU(env), nil
-	case SysCopy:
-		return core.NewShadowMapper(env, core.WithHint(netstack.PacketLenHint))
-	case SysIdentityDefer:
-		return dmaapi.NewIdentity(env, true), nil
-	case SysIdentityStrict:
-		return dmaapi.NewIdentity(env, false), nil
-	case SysLinuxStrict:
-		return dmaapi.NewLinux(env, false), nil
-	case SysLinuxDefer:
-		return dmaapi.NewLinux(env, true), nil
-	case SysSWIOTLB:
-		return dmaapi.NewSWIOTLB(env), nil
-	case SysSelfInval:
-		return dmaapi.NewSelfInval(env, 0), nil
-	}
-	return nil, fmt.Errorf("bench: unknown system %q", name)
 }
 
 // Machine bundles one assembled evaluation machine.
@@ -403,7 +343,7 @@ func collect(mach *Machine, cfg Config, procs []*sim.Proc, window uint64) Result
 			obs.PublishEngine(o.Reg, mach.Eng)
 			obs.PublishIOMMU(o.Reg, mach.IOMMU)
 			obs.PublishNIC(o.Reg, mach.NIC)
-			obs.PublishMapper(o.Reg, mach.Mapper.Name(), res.MapperStats)
+			obs.PublishMapper(o.Reg, cfg.System, res.MapperStats)
 			if sm, ok := mach.Mapper.(*core.ShadowMapper); ok {
 				obs.PublishPool(o.Reg, sm.Pool().Stats())
 			}

@@ -3,11 +3,10 @@
 // identify / deliver / verify / cleanup — against a live simulated
 // machine (IOMMU, page tables, IOTLB, protection strategy). Outcomes are
 // observed, never scripted: a payload succeeds or fails according to the
-// translation state the strategy actually produced, exactly like
-// internal/attack's original three scenarios (which now run on this
-// engine).
+// translation state the strategy actually produced.
 //
-// The package generalizes the paper's Table 1 from 3 attacks x 6
+// Table1 reproduces the paper's Table 1 from three of the payloads
+// (RunTable1), and the package generalizes it from 3 attacks x 6
 // protection models to a ~10 x 8 success matrix (Matrix, cmd/attackbench)
 // that is deterministic per seed and regression-gated in CI against
 // ci/attack-baseline.json — any cell flip (a defense newly broken or
@@ -35,8 +34,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Secret is the co-located kernel data harvest payloads try to steal
-// (shared with internal/attack's Table 1 scenarios).
+// Secret is the co-located kernel data harvest payloads try to steal.
 var Secret = []byte("TLS-PRIVATE-KEY:0xDEADBEEFCAFEBABE")
 
 // Payload is one programmable attack. The four phases run in order, in
@@ -85,7 +83,7 @@ type Result struct {
 }
 
 // Target is one assembled victim machine under attack: the compromised
-// device is the machine's own NIC (device 1), as in internal/attack.
+// device is the machine's own NIC (device 1).
 type Target struct {
 	Mach   *bench.Machine
 	System string

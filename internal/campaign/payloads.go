@@ -18,7 +18,7 @@ import (
 var builders = []func() Payload{
 	func() Payload { return &subPageHarvest{} },
 	func() Payload { return &arbitraryScan{} },
-	func() Payload { return NewReplayWindow(2, true) },
+	func() Payload { return newReplayWindow(2, true) },
 	func() Payload { return &discovery{} },
 	func() Payload { return &ringCorrupt{} },
 	func() Payload { return &faultStorm{} },
@@ -159,13 +159,12 @@ func (a *arbitraryScan) Cleanup(p *sim.Proc, t *Target) error { return nil }
 
 // ---- replay-window ---------------------------------------------------
 
-// ReplayWindow performs the paper's §3 attack: use a mapping
+// replayWindow performs the paper's §3 attack: use a mapping
 // legitimately, let the OS unmap and reuse the buffer, then replay a
 // write to the stale IOVA after DelayUs. With CheckFlush it additionally
 // verifies whether draining deferred invalidations closes the window.
-// Exported because internal/attack's WindowSweep re-runs it at swept
-// delays.
-type ReplayWindow struct {
+// WindowSweep re-runs it at swept delays.
+type replayWindow struct {
 	DelayUs    float64
 	CheckFlush bool
 
@@ -174,17 +173,17 @@ type ReplayWindow struct {
 	closed bool
 }
 
-// NewReplayWindow builds the payload with the given post-unmap delay.
-func NewReplayWindow(delayUs float64, checkFlush bool) *ReplayWindow {
-	return &ReplayWindow{DelayUs: delayUs, CheckFlush: checkFlush}
+// newReplayWindow builds the payload with the given post-unmap delay.
+func newReplayWindow(delayUs float64, checkFlush bool) *replayWindow {
+	return &replayWindow{DelayUs: delayUs, CheckFlush: checkFlush}
 }
 
-func (w *ReplayWindow) Name() string { return "replay-window" }
-func (w *ReplayWindow) Title() string {
+func (w *replayWindow) Name() string { return "replay-window" }
+func (w *replayWindow) Title() string {
 	return "replay a just-unmapped IOVA and corrupt reused OS memory"
 }
 
-func (w *ReplayWindow) Identify(p *sim.Proc, t *Target) error {
+func (w *replayWindow) Identify(p *sim.Proc, t *Target) error {
 	var err error
 	if w.m, err = t.MapVictim(p, 1500, dmaapi.FromDevice); err != nil {
 		return err
@@ -192,7 +191,7 @@ func (w *ReplayWindow) Identify(p *sim.Proc, t *Target) error {
 	return t.BenignDMA(p, w.m)
 }
 
-func (w *ReplayWindow) Deliver(p *sim.Proc, t *Target) error {
+func (w *replayWindow) Deliver(p *sim.Proc, t *Target) error {
 	// The OS unmaps and immediately reuses the memory (sentinel fill).
 	if err := t.UnmapVictim(p, w.m); err != nil {
 		return err
@@ -223,7 +222,7 @@ func (w *ReplayWindow) Deliver(p *sim.Proc, t *Target) error {
 	return nil
 }
 
-func (w *ReplayWindow) Verify(p *sim.Proc, t *Target, r *Result) error {
+func (w *replayWindow) Verify(p *sim.Proc, t *Target, r *Result) error {
 	r.Success = w.landed
 	r.Metrics["window_hit"] = b2f(w.landed)
 	if w.CheckFlush {
@@ -237,10 +236,7 @@ func (w *ReplayWindow) Verify(p *sim.Proc, t *Target, r *Result) error {
 	return nil
 }
 
-func (w *ReplayWindow) Cleanup(p *sim.Proc, t *Target) error { return nil }
-
-// Landed reports whether the replay corrupted OS memory (for WindowSweep).
-func (w *ReplayWindow) Landed() bool { return w.landed }
+func (w *replayWindow) Cleanup(p *sim.Proc, t *Target) error { return nil }
 
 // ---- ring-corrupt ----------------------------------------------------
 

@@ -112,9 +112,6 @@ func NewShadowMapper(env *dmaapi.Env, opts ...Option) (*ShadowMapper, error) {
 	return s, nil
 }
 
-// Name implements Mapper.
-func (s *ShadowMapper) Name() string { return "copy" }
-
 // Pool exposes the shadow pool (stats, memory-pressure trimming).
 func (s *ShadowMapper) Pool() *shadow.Pool { return s.pool }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/chaos"
@@ -89,10 +88,10 @@ func Execute(ctx context.Context, farm *bench.Farm, spec RunSpec) (*Result, erro
 // appends the farm table. Table 1 is an ordinary section: its
 // throughputs are Figure 1's points, shared through the suite's memo.
 func execReproduce(farm *bench.Farm, spec RunSpec) (*Result, error) {
-	var rows []attack.Table1Row
+	var verdicts []report.AttackVerdict
 	table1 := bench.Section{Name: "table1", Run: func(o bench.Options) (*bench.Table, error) {
-		r, t, err := attack.Table1(o)
-		rows = r
+		v, t, err := campaign.Table1(o)
+		verdicts = v
 		return t, err
 	}}
 	sections := append([]bench.Section{table1}, bench.Suite(!spec.SkipSensitivity)...)
@@ -119,9 +118,7 @@ func execReproduce(farm *bench.Farm, spec RunSpec) (*Result, error) {
 		return &Result{Artifact: stamp(tables), Tables: tables}, err
 	}
 	a := stamp(append(tables, bench.FarmTable(farm.Stats())))
-	if rows != nil {
-		a.Attacks = attack.Verdicts(rows)
-	}
+	a.Attacks = verdicts
 	return &Result{Artifact: a, Tables: tables}, nil
 }
 

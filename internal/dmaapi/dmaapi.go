@@ -72,9 +72,6 @@ func (d Dir) String() string {
 // protection strategy implements it; the driver code is identical across
 // strategies — the transparency goal of the paper (§5.1).
 type Mapper interface {
-	// Name identifies the strategy ("copy", "identity+", ...).
-	Name() string
-
 	// Map authorizes a DMA to buf and returns the IOVA the device must
 	// use. After Map, the CPU must not touch the buffer.
 	Map(p *sim.Proc, buf mem.Buf, dir Dir) (iommu.IOVA, error)

@@ -99,17 +99,6 @@ func newIdentity(env *Env, mode identityMode, ttl uint64) *IdentityMapper {
 	return m
 }
 
-// Name implements Mapper.
-func (m *IdentityMapper) Name() string {
-	switch m.mode {
-	case identityDeferred:
-		return "identity-"
-	case identitySelfInval:
-		return "selfinval"
-	}
-	return "identity+"
-}
-
 func (m *IdentityMapper) shard(pfn uint64) *identityShard {
 	return m.shards[pfn%identityShards]
 }

@@ -53,14 +53,6 @@ func NewLinux(env *Env, deferred bool) *LinuxMapper {
 	return m
 }
 
-// Name implements Mapper.
-func (m *LinuxMapper) Name() string {
-	if m.deferred {
-		return "defer"
-	}
-	return "strict"
-}
-
 // Map implements Mapper.
 func (m *LinuxMapper) Map(p *sim.Proc, buf mem.Buf, dir Dir) (iommu.IOVA, error) {
 	if buf.Size <= 0 {

@@ -24,9 +24,6 @@ func NewNoIOMMU(env *Env) *NoIOMMU {
 	return &NoIOMMU{env: env}
 }
 
-// Name implements Mapper.
-func (n *NoIOMMU) Name() string { return "no iommu" }
-
 // Map implements Mapper: the IOVA is the physical address.
 func (n *NoIOMMU) Map(p *sim.Proc, buf mem.Buf, dir Dir) (iommu.IOVA, error) {
 	if buf.Size <= 0 {

@@ -103,9 +103,6 @@ func TestSelfInvalBoundedWindow(t *testing.T) {
 	env := newEnv(1)
 	ttl := cycles.FromMicros(20)
 	m := NewSelfInval(env, ttl)
-	if m.Name() != "selfinval" {
-		t.Fatalf("name = %s", m.Name())
-	}
 	buf := allocBuf(t, env, 1500)
 	inProc(t, env, func(p *sim.Proc) {
 		addr, err := m.Map(p, buf, FromDevice)

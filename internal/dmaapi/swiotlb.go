@@ -51,9 +51,6 @@ func NewSWIOTLB(env *Env) *SWIOTLB {
 	}
 }
 
-// Name implements Mapper.
-func (s *SWIOTLB) Name() string { return "swiotlb" }
-
 func (s *SWIOTLB) classFor(size int) (int, error) {
 	for i, c := range swiotlbClasses {
 		if size <= c {

@@ -2,7 +2,9 @@ package dmafuzz
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/cycles"
 	"repro/internal/dmaapi"
@@ -59,54 +61,6 @@ type FaultPlan struct {
 	SpillNoInval bool
 }
 
-// profile is the per-backend security expectation: which paper-predicted
-// windows are allowed, and which MUST be positively observed so the
-// oracle cannot pass vacuously.
-type profile struct {
-	// windowAllowed: a stale-IOVA device write may reach the OS buffer
-	// before invalidation completes (deferred designs).
-	windowAllowed bool
-	// windowRequired: with eligible probes present, at least one must
-	// observe the window (it is a prediction, not just a tolerance).
-	windowRequired bool
-	// subPageAllowed: a device may read kmalloc data co-located on a
-	// mapped page (zero-copy page-granular designs).
-	subPageAllowed bool
-	// subPageRequired: with eligible probes present, at least one leak
-	// must be observed (a prediction, not just a tolerance). Allowed but
-	// not required fits backends where only SOME mappings are
-	// page-granular — copy-degraded's spill path — so whether a given
-	// probe leaks depends on which path served its mapping.
-	subPageRequired bool
-	// arbitrary: device access to never-mapped memory succeeds (swiotlb
-	// runs in passthrough); also required when attempted.
-	arbitrary bool
-}
-
-func profileFor(backend string) profile {
-	switch backend {
-	case "strict", "identity+":
-		return profile{subPageAllowed: true, subPageRequired: true}
-	case "defer", "identity-", "selfinval":
-		return profile{windowAllowed: true, windowRequired: true,
-			subPageAllowed: true, subPageRequired: true}
-	case "swiotlb":
-		// Stale and sub-page probes land in the bounce arena (contained,
-		// ironically), but arbitrary physical access always succeeds.
-		return profile{arbitrary: true}
-	case "copy", "copy-hybrid":
-		return profile{}
-	case "copy-degraded":
-		// The starved pool spills most mappings to the strict page-
-		// granular slow path: sub-page leaks become possible (allowed,
-		// not required — pool-served mappings still contain them), but
-		// the stale window stays closed (spill unmaps invalidate
-		// strictly) and data results stay byte-identical to copy.
-		return profile{subPageAllowed: true}
-	}
-	return profile{}
-}
-
 // machine is one simulated host running one backend.
 type machine struct {
 	eng    *sim.Engine
@@ -114,6 +68,7 @@ type machine struct {
 	u      *iommu.IOMMU
 	env    *dmaapi.Env
 	mapper dmaapi.Mapper
+	prof   bench.Profile // what the security oracle holds the backend to
 	k      *mem.Kmalloc
 
 	bufs map[int]mem.Buf // op index -> preallocated OS buffer
@@ -124,6 +79,64 @@ type machine struct {
 
 const fuzzDev = iommu.DeviceID(1)
 
+// newMapper builds backend's mapper and returns the profile the security
+// oracle holds it to. A backend is its bench.Designs entry, judged by the
+// profile the paper declares for it, except for four deliberate variants.
+func newMapper(backend string, env *dmaapi.Env, plan FaultPlan) (dmaapi.Mapper, bench.Profile, error) {
+	switch backend {
+	case "copy":
+		// No length hint, and no degradation ladder: injected allocation
+		// failures keep their hard-failure semantics.
+		m, err := core.NewShadowMapper(env, core.WithDegrade(core.DegradeConfig{Disable: true}))
+		return m, declared(bench.SysCopy), err
+	case "copy-hybrid":
+		// A 16 KiB max class, so large buffers take the hybrid path.
+		m, err := core.NewShadowMapper(env, core.WithPoolConfig(shadow.Config{
+			SizeClasses:  []int{4096, 16384},
+			MaxPerClass:  16384,
+			Cores:        env.Cores,
+			Domains:      env.Mem.Domains(),
+			DomainOfCore: env.DomainOfCore,
+		}), core.WithDegrade(core.DegradeConfig{Disable: true}))
+		return m, declared(bench.SysCopy), err
+	case "copy-degraded":
+		// A starved pool (4 slots per class, no fallback) spills most
+		// mappings to the strict page-granular path: copy's profile, with
+		// sub-page leaks allowed (see applySecurityOracle).
+		m, err := core.NewShadowMapper(env, core.WithPoolConfig(shadow.Config{
+			SizeClasses:     []int{4096, 65536},
+			MaxPerClass:     4,
+			Cores:           env.Cores,
+			Domains:         env.Mem.Domains(),
+			DomainOfCore:    env.DomainOfCore,
+			DisableFallback: true,
+		}), core.WithDegrade(core.DegradeConfig{
+			MaxRetries:     1,
+			RetryBackoff:   1024,
+			SkipSpillInval: plan.SpillNoInval,
+		}))
+		return m, declared(bench.SysCopy), err
+	case "selfinval":
+		// A 50 ms TTL, so the window spans many trace ops.
+		return dmaapi.NewSelfInval(env, cycles.FromMillis(selfInvalTTL)), declared(bench.SysSelfInval), nil
+	}
+	d, ok := bench.LookupDesign(backend)
+	if !ok || !slices.Contains(Backends, backend) {
+		return nil, bench.Profile{}, fmt.Errorf("dmafuzz: unknown backend %q", backend)
+	}
+	m, err := d.New(env)
+	if lm, ok := m.(*dmaapi.LinuxMapper); ok && backend == bench.SysLinuxStrict {
+		lm.SkipInval = plan.SkipInval
+	}
+	return m, d.Profile, err
+}
+
+// declared returns the profile the paper declares for a design.
+func declared(name string) bench.Profile {
+	d, _ := bench.LookupDesign(name)
+	return d.Profile
+}
+
 func newMachine(backend string, tr *Trace, plan FaultPlan) (*machine, error) {
 	eng := sim.NewEngine()
 	m := mem.New(2)
@@ -132,67 +145,13 @@ func newMachine(backend string, tr *Trace, plan FaultPlan) (*machine, error) {
 	u.Queue.Timeout = plan.InvTimeout
 	env := &dmaapi.Env{Eng: eng, Mem: m, IOMMU: u, Costs: cycles.Default(), Dev: fuzzDev, Cores: 2}
 
-	var mapper dmaapi.Mapper
-	var err error
-	switch backend {
-	case "strict":
-		lm := dmaapi.NewLinux(env, false)
-		lm.SkipInval = plan.SkipInval
-		mapper = lm
-	case "defer":
-		mapper = dmaapi.NewLinux(env, true)
-	case "identity+":
-		mapper = dmaapi.NewIdentity(env, false)
-	case "identity-":
-		mapper = dmaapi.NewIdentity(env, true)
-	case "selfinval":
-		mapper = dmaapi.NewSelfInval(env, cycles.FromMillis(selfInvalTTL))
-	case "swiotlb":
-		mapper = dmaapi.NewSWIOTLB(env)
-	case "copy":
-		// The healthy reference for the copy strategy: the degradation
-		// ladder is disabled so injected allocation failures keep their
-		// historical hard-failure semantics (the ladder would otherwise
-		// absorb them and blur the profile).
-		mapper, err = core.NewShadowMapper(env,
-			core.WithDegrade(core.DegradeConfig{Disable: true}))
-	case "copy-hybrid":
-		// A lowered max class (16 KiB) so the generator's large buffers
-		// exercise the huge-buffer hybrid path.
-		mapper, err = core.NewShadowMapper(env, core.WithPoolConfig(shadow.Config{
-			SizeClasses:  []int{4096, 16384},
-			MaxPerClass:  16384,
-			Cores:        env.Cores,
-			Domains:      m.Domains(),
-			DomainOfCore: env.DomainOfCore,
-		}), core.WithDegrade(core.DegradeConfig{Disable: true}))
-	case "copy-degraded":
-		// A deterministically starved pool — 4 metadata slots per
-		// (domain, class) and no fallback — so nearly every Map runs the
-		// degradation ladder and is served by the strict spill path.
-		// Results must stay byte-identical to the healthy copy backend;
-		// only the costs and the sub-page granularity differ.
-		mapper, err = core.NewShadowMapper(env, core.WithPoolConfig(shadow.Config{
-			SizeClasses:     []int{4096, 65536},
-			MaxPerClass:     4,
-			Cores:           env.Cores,
-			Domains:         m.Domains(),
-			DomainOfCore:    env.DomainOfCore,
-			DisableFallback: true,
-		}), core.WithDegrade(core.DegradeConfig{
-			MaxRetries:     1,
-			RetryBackoff:   1024,
-			SkipSpillInval: plan.SpillNoInval,
-		}))
-	default:
-		return nil, fmt.Errorf("dmafuzz: unknown backend %q", backend)
-	}
+	mapper, prof, err := newMapper(backend, env, plan)
 	if err != nil {
 		return nil, err
 	}
 
 	mc := &machine{
-		eng: eng, mem: m, u: u, env: env, mapper: mapper,
+		eng: eng, mem: m, u: u, env: env, mapper: mapper, prof: prof,
 		k:    mem.NewKmalloc(m, nil),
 		bufs: make(map[int]mem.Buf),
 		sibs: make(map[int]mem.Buf),

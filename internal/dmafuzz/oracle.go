@@ -1,42 +1,49 @@
 package dmafuzz
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/bench"
+)
 
 // applySecurityOracle checks a backend's probe aggregates against its
-// paper-predicted profile. Both directions are enforced: forbidden
-// windows must never be observed, and predicted windows must be
+// declared profile (bench.Designs). Both directions are enforced:
+// forbidden windows must never be observed, and declared windows must be
 // positively observed whenever the trace presented an eligible probe —
 // so a backend that silently stopped exhibiting its documented window
 // (or an oracle that stopped detecting it) fails loudly instead of
 // passing vacuously.
-func applySecurityOracle(br *BackendResult, plan FaultPlan) {
-	prof := profileFor(br.Backend)
+func applySecurityOracle(br *BackendResult, prof bench.Profile) {
 	sec := br.Security
 
-	if !prof.windowAllowed && sec.StaleObserved > 0 {
+	window := prof.Window != bench.NoWindow
+	if !window && sec.StaleObserved > 0 {
 		br.violatef("security: %d stale-IOVA device writes reached OS memory (no window predicted for %s)",
 			sec.StaleObserved, br.Backend)
 	}
-	if prof.windowRequired && sec.StaleEligible > 0 && sec.StaleObserved == 0 {
+	if window && sec.StaleEligible > 0 && sec.StaleObserved == 0 {
 		br.violatef("security: deferred-invalidation window never observed (%d eligible probes) — oracle or model broken",
 			sec.StaleEligible)
 	}
 
-	if !prof.subPageAllowed && sec.SubPageObserved > 0 {
+	// The one declared exception: copy-degraded serves only some mappings
+	// page-granularly (its spill path), so whether a probe leaks depends
+	// on which path served its mapping — a leak is allowed, never required.
+	if !prof.SubPage && br.Backend != "copy-degraded" && sec.SubPageObserved > 0 {
 		br.violatef("security: %d sub-page sibling reads leaked co-located data (byte-granular backend)",
 			sec.SubPageObserved)
 	}
-	if prof.subPageRequired && sec.SubPageEligible > 0 && sec.SubPageObserved == 0 {
+	if prof.SubPage && sec.SubPageEligible > 0 && sec.SubPageObserved == 0 {
 		br.violatef("security: predicted sub-page leak never observed (%d eligible probes)",
 			sec.SubPageEligible)
 	}
 
 	arbLeaks := sec.ArbitraryLeaks + sec.ProberLeaks
 	arbTries := sec.ArbitraryProbes + sec.ProberReads
-	if !prof.arbitrary && arbLeaks > 0 {
+	if !prof.Arbitrary && arbLeaks > 0 {
 		br.violatef("security: %d arbitrary device reads of never-mapped memory succeeded", arbLeaks)
 	}
-	if prof.arbitrary && arbTries > 0 && arbLeaks == 0 {
+	if prof.Arbitrary && arbTries > 0 && arbLeaks == 0 {
 		br.violatef("security: predicted arbitrary access never observed (%d attempts)", arbTries)
 	}
 

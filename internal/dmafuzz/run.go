@@ -3,6 +3,7 @@ package dmafuzz
 import (
 	"bytes"
 
+	"repro/internal/bench"
 	"repro/internal/cycles"
 	"repro/internal/dmaapi"
 	"repro/internal/iommu"
@@ -32,11 +33,11 @@ func RunTrace(tr *Trace, backends []string, plan FaultPlan) (*Report, error) {
 	}
 	rep := &Report{Seed: tr.Seed, Ops: len(tr.Ops), Plan: plan}
 	for _, name := range backends {
-		br, err := runBackend(name, tr, plan)
+		br, prof, err := runBackend(name, tr, plan)
 		if err != nil {
 			return nil, err
 		}
-		applySecurityOracle(br, plan)
+		applySecurityOracle(br, prof)
 		applyResourceOracle(br, plan)
 		rep.Backends = append(rep.Backends, br)
 	}
@@ -141,10 +142,10 @@ func (a *actors) barrier(p *sim.Proc) {
 	}
 }
 
-func runBackend(backend string, tr *Trace, plan FaultPlan) (*BackendResult, error) {
+func runBackend(backend string, tr *Trace, plan FaultPlan) (*BackendResult, bench.Profile, error) {
 	mc, err := newMachine(backend, tr, plan)
 	if err != nil {
-		return nil, err
+		return nil, bench.Profile{}, err
 	}
 	br := &BackendResult{Backend: backend, Violations: []string{}}
 	act := &actors{total: 2}
@@ -240,7 +241,7 @@ func runBackend(backend string, tr *Trace, plan FaultPlan) (*BackendResult, erro
 	mc.eng.Run(1 << 50)
 	mc.eng.Stop()
 	mc.mem.Release()
-	return br, nil
+	return br, mc.prof, nil
 }
 
 func (st *execState) exec(p *sim.Proc, i int, op Op) OpResult {

@@ -33,8 +33,8 @@ type NIC struct {
 	txWire *Wire // us -> traffic-generator
 
 	// RxDMAHook observes every receive DMA the device performs (queue,
-	// IOVA, bytes). A compromised NIC (internal/attack) uses it to
-	// remember IOVAs for replay.
+	// IOVA, bytes). A compromised NIC (examples/malicious-nic) uses it
+	// to remember IOVAs for replay.
 	RxDMAHook func(q int, addr iommu.IOVA, n int)
 	// TxDMAHook observes every transmit DMA (payload fetch).
 	TxDMAHook func(q int, addr iommu.IOVA, n int)

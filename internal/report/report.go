@@ -90,7 +90,7 @@ type Point struct {
 }
 
 // AttackVerdict is one row of the paper's Table 1, decided by running
-// real attacks (see internal/attack).
+// real attacks (see campaign.Table1).
 type AttackVerdict struct {
 	System          string  `json:"system"`
 	SubPageProtect  bool    `json:"sub_page_protect"`
