@@ -115,11 +115,12 @@ daemon-smoke:
 	sh ci/daemon-smoke.sh
 
 # Host-side microbenchmarks of the simulation substrate (scheduler fence
-# path, page store, DMA translation). Results are host-dependent — they
-# are written to bench-host.txt for eyeballing, not gated.
+# path, page store, DMA translation, IOVA allocators) and of machine setup
+# (posting an RX ring per design). Results are host-dependent — they are
+# written to bench-host.txt for eyeballing, not gated.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem \
-		./internal/sim/ ./internal/mem/ ./internal/iommu/ | tee bench-host.txt
+		./internal/sim/ ./internal/mem/ ./internal/iommu/ ./internal/iova/ ./internal/bench/ | tee bench-host.txt
 
 # Profile the smoke workload: writes cpu.prof and mem.prof to /tmp.
 # Inspect with: go tool pprof -http=: /tmp/cpu.prof
@@ -130,12 +131,14 @@ profile:
 
 # Native coverage-guided fuzzing, every target: IOMMU translation vs. a
 # model page table and mem access vs. a model byte store (both seeded
-# from dmafuzz-generated corpora), the shadow pool's IOVA metadata
-# decoder, and the KV server's request decoder. Short budgets — this is
-# a smoke pass; raise -fuzztime for a real fuzzing session.
+# from dmafuzz-generated corpora), the page-indexed table vs. a Go map,
+# the shadow pool's IOVA metadata decoder, and the KV server's request
+# decoder. Short budgets — this is a smoke pass; raise -fuzztime for a
+# real fuzzing session.
 fuzz:
 	$(GO) test ./internal/iommu/ -run '^$$' -fuzz '^FuzzTranslate$$' -fuzztime 10s
 	$(GO) test ./internal/mem/ -run '^$$' -fuzz '^FuzzAccess$$' -fuzztime 10s
+	$(GO) test ./internal/mem/ -run '^$$' -fuzz '^FuzzPageMap$$' -fuzztime 10s
 	$(GO) test ./internal/shadow/ -run '^$$' -fuzz '^FuzzIOVADecode$$' -fuzztime 10s
 	$(GO) test ./internal/kv/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s
 

@@ -23,8 +23,8 @@ func TestSGMapUnwindsOnMidListFailure(t *testing.T) {
 		}
 		// The successful first element must have been unwound: its slot
 		// is free again and no live mapping remains.
-		if len(m.live) != 0 {
-			t.Errorf("SG unwind left %d live mappings", len(m.live))
+		if m.live.Len() != 0 {
+			t.Errorf("SG unwind left %d live mappings", m.live.Len())
 		}
 		// A fresh map must succeed and reuse the recycled slot.
 		addr, err := m.Map(p, ok1, ToDevice)

@@ -1,6 +1,7 @@
 package dmaapi
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cycles"
@@ -39,7 +40,10 @@ type IdentityMapper struct {
 	mode identityMode
 	ttl  uint64 // self-invalidation period (identitySelfInval only)
 
-	shards [identityShards]*identityShard
+	// locks[pfn%identityShards] guards refs[pfn], the page's mapping
+	// refcount.
+	locks [identityShards]*sim.Spinlock
+	refs  mem.PageMap[int32]
 	// flushes holds one flush queue per core: the scalable design batches
 	// IOTLB invalidations locally on each core instead of on a global,
 	// lock-protected list (paper §2.2.1, citing [42]) — at the price of a
@@ -48,11 +52,6 @@ type IdentityMapper struct {
 
 	coherent int // outstanding coherent allocations
 	stats    Stats
-}
-
-type identityShard struct {
-	lock *sim.Spinlock
-	refs map[uint64]int // pfn -> mapping refcount
 }
 
 // NewIdentity creates identity+ (deferred=false) or identity- (deferred=
@@ -81,11 +80,8 @@ func NewSelfInval(env *Env, ttl uint64) *IdentityMapper {
 
 func newIdentity(env *Env, mode identityMode, ttl uint64) *IdentityMapper {
 	m := &IdentityMapper{env: env, mode: mode, ttl: ttl}
-	for i := range m.shards {
-		m.shards[i] = &identityShard{
-			lock: env.NewLock(fmt.Sprintf("ident-%d", i)),
-			refs: make(map[uint64]int),
-		}
+	for i := range m.locks {
+		m.locks[i] = env.NewLock(fmt.Sprintf("ident-%d", i))
 	}
 	if mode == identityDeferred {
 		cores := env.Cores
@@ -99,12 +95,14 @@ func newIdentity(env *Env, mode identityMode, ttl uint64) *IdentityMapper {
 	return m
 }
 
-func (m *IdentityMapper) shard(pfn uint64) *identityShard {
-	return m.shards[pfn%identityShards]
+func (m *IdentityMapper) lock(pfn uint64) *sim.Spinlock {
+	return m.locks[pfn%identityShards]
 }
 
 // Map implements Mapper: it bumps each page's refcount, installing the
-// identity PTE on the first reference.
+// identity PTE on the first reference. If a PTE cannot be installed, the
+// references already taken are released as Unmap releases them: the
+// device could reach those pages while the shard locks were yielded.
 func (m *IdentityMapper) Map(p *sim.Proc, buf mem.Buf, dir Dir) (iommu.IOVA, error) {
 	if buf.Size <= 0 {
 		return 0, fmt.Errorf("identity: map of %d bytes", buf.Size)
@@ -117,18 +115,25 @@ func (m *IdentityMapper) Map(p *sim.Proc, buf mem.Buf, dir Dir) (iommu.IOVA, err
 	p.ChargeSpan("ptes", cycles.TagPTMgmt, m.env.Costs.PTMap+m.env.Costs.PTPerPage*uint64(pages-1))
 	first := buf.Addr.PFN()
 	for pg := first; pg < first+uint64(pages); pg++ {
-		s := m.shard(pg)
-		s.lock.Lock(p)
-		s.refs[pg]++
-		if s.refs[pg] == 1 {
+		l := m.lock(pg)
+		l.Lock(p)
+		ref := m.refs.Get(pg) + 1
+		m.refs.Set(pg, ref)
+		if ref == 1 {
 			base := iommu.IOVA(pg << mem.PageShift)
 			if err := m.env.IOMMU.Map(m.env.Dev, base, mem.Phys(base), mem.PageSize, iommu.PermRW); err != nil {
-				s.refs[pg]--
-				s.lock.Unlock(p)
+				m.refs.Set(pg, 0)
+				l.Unlock(p)
+				if pg > first {
+					if uerr := m.release(p, first, pg-first); uerr != nil {
+						return 0, errors.Join(err, uerr)
+					}
+					m.invalidate(p, first, pg-first)
+				}
 				return 0, err
 			}
 		}
-		s.lock.Unlock(p)
+		l.Unlock(p)
 	}
 	m.stats.Maps++
 	m.stats.BytesMapped += uint64(buf.Size)
@@ -145,27 +150,42 @@ func (m *IdentityMapper) Unmap(p *sim.Proc, addr iommu.IOVA, size int, dir Dir) 
 	}
 	pages := PagesOf(uint64(addr), size)
 	p.ChargeSpan("ptes", cycles.TagPTMgmt, m.env.Costs.PTUnmap+m.env.Costs.PTPerPage*uint64(pages-1))
-	first := addr.Page()
-	for pg := first; pg < first+uint64(pages); pg++ {
-		s := m.shard(pg)
-		s.lock.Lock(p)
-		ref, ok := s.refs[pg]
-		if !ok || ref == 0 {
-			s.lock.Unlock(p)
+	if err := m.release(p, addr.Page(), uint64(pages)); err != nil {
+		return err
+	}
+	m.stats.Unmaps++
+	m.invalidate(p, addr.Page(), uint64(pages))
+	return nil
+}
+
+// release drops one reference to each of n pages from first, unmapping
+// every page whose count reaches zero.
+func (m *IdentityMapper) release(p *sim.Proc, first, n uint64) error {
+	for pg := first; pg < first+n; pg++ {
+		l := m.lock(pg)
+		l.Lock(p)
+		ref := m.refs.Get(pg)
+		if ref == 0 {
+			l.Unlock(p)
 			return fmt.Errorf("identity: unmap of unmapped page %#x", pg)
 		}
-		s.refs[pg]--
-		if s.refs[pg] == 0 {
-			delete(s.refs, pg)
+		m.refs.Set(pg, ref-1)
+		if ref == 1 {
 			base := iommu.IOVA(pg << mem.PageShift)
 			if err := m.env.IOMMU.Unmap(m.env.Dev, base, mem.PageSize); err != nil {
-				s.lock.Unlock(p)
+				l.Unlock(p)
 				return err
 			}
 		}
-		s.lock.Unlock(p)
+		l.Unlock(p)
 	}
-	m.stats.Unmaps++
+	return nil
+}
+
+// invalidate ends the device's access to n released pages from first as
+// the mode requires: now (identity+), at the next batched flush
+// (identity-), or when the IOTLB entries expire (self-invalidation).
+func (m *IdentityMapper) invalidate(p *sim.Proc, first, n uint64) {
 	switch m.mode {
 	case identityDeferred:
 		m.flushes[p.Core()%len(m.flushes)].add(p, flushEntry{})
@@ -180,14 +200,13 @@ func (m *IdentityMapper) Unmap(p *sim.Proc, addr iommu.IOVA, size int, dir Dir) 
 		}
 		q := m.env.IOMMU.Queue
 		q.Lock.Lock(p)
-		done := q.SubmitPages(p, m.env.Dev, first, uint64(pages))
+		done := q.SubmitPages(p, m.env.Dev, first, n)
 		q.WaitRecover(p, done)
 		q.Lock.Unlock(p)
 		if p.Observed() {
 			p.SpanExit()
 		}
 	}
-	return nil
 }
 
 // MapSG implements Mapper.
@@ -208,7 +227,7 @@ func (m *IdentityMapper) AllocCoherent(p *sim.Proc, size int) (iommu.IOVA, mem.B
 	}
 	addr, err := m.Map(p, mem.Buf{Addr: buf.Addr, Size: (size + mem.PageSize - 1) / mem.PageSize * mem.PageSize}, Bidirectional)
 	if err != nil {
-		return 0, mem.Buf{}, err
+		return 0, mem.Buf{}, errors.Join(err, freeCoherentPages(m.env, buf))
 	}
 	m.stats.CoherentAllocs++
 	m.stats.Maps-- // counted as coherent, not streaming
@@ -246,10 +265,7 @@ func (m *IdentityMapper) Stats() Stats { return m.stats }
 // (coherent pages included, so LiveMappings already covers them — but the
 // coherent count is reported separately for the oracle's benefit).
 func (m *IdentityMapper) Accounting() Accounting {
-	a := Accounting{LiveCoherent: m.coherent}
-	for _, s := range m.shards {
-		a.LiveMappings += len(s.refs)
-	}
+	a := Accounting{LiveCoherent: m.coherent, LiveMappings: m.refs.Len()}
 	for _, f := range m.flushes {
 		a.DeferredPending += len(f.entries)
 	}

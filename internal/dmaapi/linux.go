@@ -1,6 +1,7 @@
 package dmaapi
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cycles"
@@ -28,10 +29,25 @@ type LinuxMapper struct {
 	iovaLock *sim.Spinlock
 	alloc    *iova.TreeAllocator
 	flush    *flushQueue
-	dirs     map[iommu.IOVA]Dir // live mappings, for contract checking
-	coherent int                // outstanding coherent allocations
+	live     mem.PageMap[linuxMapping] // by first IOVA page, for contract checking
+	coherent int                       // outstanding coherent allocations
 
 	stats Stats
+}
+
+// linuxMapping records a live streaming mapping under its first IOVA
+// page, which no other live mapping shares: the in-page offset of the
+// address Map returned, plus one so that the zero value means absent, and
+// the direction.
+type linuxMapping struct {
+	off1 uint16
+	dir  Dir
+}
+
+// mapping returns the live mapping Map returned addr for.
+func (m *LinuxMapper) mapping(addr iommu.IOVA) (linuxMapping, bool) {
+	e := m.live.Get(addr.Page())
+	return e, e.off1 != 0 && int(e.off1)-1 == addr.Offset()
 }
 
 // NewLinux creates the Linux-style mapper. deferred selects batched
@@ -44,7 +60,6 @@ func NewLinux(env *Env, deferred bool) *LinuxMapper {
 		iovaLock: env.NewLock("iova"),
 		// Linux reserves the low 4 GiB-ish region; any large window works.
 		alloc: iova.NewTree(1, 1<<(iommu.IOVABits-mem.PageShift-1)),
-		dirs:  make(map[iommu.IOVA]Dir),
 	}
 	if deferred {
 		m.flush = newFlushQueue(env, &m.stats, 250, 10)
@@ -72,10 +87,10 @@ func (m *LinuxMapper) Map(p *sim.Proc, buf mem.Buf, dir Dir) (iommu.IOVA, error)
 	}
 	p.ChargeSpan("ptes", cycles.TagPTMgmt, m.env.Costs.PTMap+m.env.Costs.PTPerPage*uint64(pages-1))
 	if err := m.env.IOMMU.Map(m.env.Dev, base, buf.Addr.PageBase(), pages*mem.PageSize, dir.Perm()); err != nil {
-		return 0, err
+		return 0, errors.Join(err, m.freeIOVA(p, base, pages))
 	}
 	addr := base + iommu.IOVA(buf.Addr.Offset())
-	m.dirs[addr] = dir
+	m.live.Set(base.Page(), linuxMapping{off1: uint16(buf.Addr.Offset() + 1), dir: dir})
 	m.stats.Maps++
 	m.stats.BytesMapped += uint64(buf.Size)
 	return addr, nil
@@ -83,14 +98,14 @@ func (m *LinuxMapper) Map(p *sim.Proc, buf mem.Buf, dir Dir) (iommu.IOVA, error)
 
 // Unmap implements Mapper.
 func (m *LinuxMapper) Unmap(p *sim.Proc, addr iommu.IOVA, size int, dir Dir) error {
-	got, ok := m.dirs[addr]
+	got, ok := m.mapping(addr)
 	if !ok {
 		return fmt.Errorf("linux: unmap of unmapped iova %#x", uint64(addr))
 	}
-	if got != dir {
-		return fmt.Errorf("linux: unmap direction %v does not match map %v", dir, got)
+	if got.dir != dir {
+		return fmt.Errorf("linux: unmap direction %v does not match map %v", dir, got.dir)
 	}
-	delete(m.dirs, addr)
+	m.live.Set(addr.Page(), linuxMapping{})
 	if p.Observed() {
 		p.SpanEnter("unmap")
 		defer p.SpanExit()
@@ -158,7 +173,7 @@ func (m *LinuxMapper) AllocCoherent(p *sim.Proc, size int) (iommu.IOVA, mem.Buf,
 	}
 	p.ChargeSpan("ptes", cycles.TagPTMgmt, m.env.Costs.PTMap+m.env.Costs.PTPerPage*uint64(pages-1))
 	if err := m.env.IOMMU.Map(m.env.Dev, base, buf.Addr, pages*mem.PageSize, iommu.PermRW); err != nil {
-		return 0, mem.Buf{}, err
+		return 0, mem.Buf{}, errors.Join(err, m.freeIOVA(p, base, pages), freeCoherentPages(m.env, buf))
 	}
 	m.stats.CoherentAllocs++
 	m.coherent++
@@ -184,14 +199,19 @@ func (m *LinuxMapper) FreeCoherent(p *sim.Proc, addr iommu.IOVA, buf mem.Buf) er
 	if p.Observed() {
 		p.SpanExit()
 	}
-	m.iovaLock.Lock(p)
-	err := m.alloc.Free(p.Core(), addr, pages)
-	m.iovaLock.Unlock(p)
-	if err != nil {
+	if err := m.freeIOVA(p, addr, pages); err != nil {
 		return err
 	}
 	m.coherent--
 	return freeCoherentPages(m.env, buf)
+}
+
+// freeIOVA returns an IOVA range to the allocator under its lock.
+func (m *LinuxMapper) freeIOVA(p *sim.Proc, base iommu.IOVA, pages int) error {
+	m.iovaLock.Lock(p)
+	err := m.alloc.Free(p.Core(), base, pages)
+	m.iovaLock.Unlock(p)
+	return err
 }
 
 // Quiesce implements Mapper.
@@ -207,7 +227,7 @@ func (m *LinuxMapper) Stats() Stats { return m.stats }
 // Accounting implements Mapper.
 func (m *LinuxMapper) Accounting() Accounting {
 	a := Accounting{
-		LiveMappings:  len(m.dirs),
+		LiveMappings:  m.live.Len(),
 		LiveCoherent:  m.coherent,
 		IOVAPagesHeld: m.alloc.Outstanding(),
 	}
@@ -219,7 +239,7 @@ func (m *LinuxMapper) Accounting() Accounting {
 
 // SyncForCPU implements Mapper (cache maintenance only; zero copy).
 func (m *LinuxMapper) SyncForCPU(p *sim.Proc, addr iommu.IOVA, size int, dir Dir) error {
-	if _, ok := m.dirs[addr]; !ok {
+	if _, ok := m.mapping(addr); !ok {
 		return fmt.Errorf("linux: sync of unmapped iova %#x", uint64(addr))
 	}
 	syncMaint(m.env, p)
@@ -228,7 +248,7 @@ func (m *LinuxMapper) SyncForCPU(p *sim.Proc, addr iommu.IOVA, size int, dir Dir
 
 // SyncForDevice implements Mapper (cache maintenance only; zero copy).
 func (m *LinuxMapper) SyncForDevice(p *sim.Proc, addr iommu.IOVA, size int, dir Dir) error {
-	if _, ok := m.dirs[addr]; !ok {
+	if _, ok := m.mapping(addr); !ok {
 		return fmt.Errorf("linux: sync of unmapped iova %#x", uint64(addr))
 	}
 	syncMaint(m.env, p)

@@ -26,8 +26,8 @@ type SWIOTLB struct {
 	// "IOVA" handed to the device is the bounce buffer's physical
 	// address, and the device runs in passthrough.
 	free     [][2][]mem.Buf
-	live     map[iommu.IOVA]bounce
-	coherent int // outstanding coherent allocations
+	live     mem.PageMap[bounce] // by slot PFN; slots are page-aligned
+	coherent int                 // outstanding coherent allocations
 	stats    Stats
 }
 
@@ -40,6 +40,15 @@ type bounce struct {
 
 var swiotlbClasses = [2]int{4096, 65536}
 
+// bounceAt returns the live bounce whose slot starts at addr.
+func (s *SWIOTLB) bounceAt(addr iommu.IOVA) (bounce, bool) {
+	if addr.Offset() != 0 {
+		return bounce{}, false
+	}
+	b := s.live.Get(addr.Page())
+	return b, b.slot.Size != 0
+}
+
 // NewSWIOTLB creates the bounce-buffer mapper and disables translation for
 // the device (as on a system without an IOMMU).
 func NewSWIOTLB(env *Env) *SWIOTLB {
@@ -47,7 +56,6 @@ func NewSWIOTLB(env *Env) *SWIOTLB {
 	return &SWIOTLB{
 		env:  env,
 		free: make([][2][]mem.Buf, env.Cores),
-		live: make(map[iommu.IOVA]bounce),
 	}
 }
 
@@ -105,7 +113,7 @@ func (s *SWIOTLB) Map(p *sim.Proc, buf mem.Buf, dir Dir) (iommu.IOVA, error) {
 		s.stats.BytesCopied += uint64(buf.Size)
 	}
 	addr := iommu.IOVA(slot.Addr)
-	s.live[addr] = bounce{slot: slot, osBuf: buf, dir: dir, class: class}
+	s.live.Set(addr.Page(), bounce{slot: slot, osBuf: buf, dir: dir, class: class})
 	s.stats.Maps++
 	s.stats.BytesMapped += uint64(buf.Size)
 	return addr, nil
@@ -113,14 +121,14 @@ func (s *SWIOTLB) Map(p *sim.Proc, buf mem.Buf, dir Dir) (iommu.IOVA, error) {
 
 // Unmap implements Mapper: copy out if the device wrote, release the slot.
 func (s *SWIOTLB) Unmap(p *sim.Proc, addr iommu.IOVA, size int, dir Dir) error {
-	b, ok := s.live[addr]
+	b, ok := s.bounceAt(addr)
 	if !ok {
 		return fmt.Errorf("swiotlb: unmap of unknown %#x", uint64(addr))
 	}
 	if b.dir != dir || b.osBuf.Size != size {
 		return fmt.Errorf("swiotlb: unmap mismatch")
 	}
-	delete(s.live, addr)
+	s.live.Set(addr.Page(), bounce{})
 	if p.Observed() {
 		p.SpanEnter("unmap")
 		defer p.SpanExit()
@@ -183,13 +191,13 @@ func (s *SWIOTLB) Stats() Stats { return s.stats }
 // Accounting implements Mapper. Bounce free lists are a permanent cache
 // and deliberately excluded; live bounce slots count as mappings.
 func (s *SWIOTLB) Accounting() Accounting {
-	return Accounting{LiveMappings: len(s.live), LiveCoherent: s.coherent}
+	return Accounting{LiveMappings: s.live.Len(), LiveCoherent: s.coherent}
 }
 
 // SyncForCPU implements Mapper: copy the device's writes out of the bounce
 // slot while the mapping stays live.
 func (s *SWIOTLB) SyncForCPU(p *sim.Proc, addr iommu.IOVA, size int, dir Dir) error {
-	b, ok := s.live[addr]
+	b, ok := s.bounceAt(addr)
 	if !ok {
 		return fmt.Errorf("swiotlb: sync of unknown %#x", uint64(addr))
 	}
@@ -209,7 +217,7 @@ func (s *SWIOTLB) SyncForCPU(p *sim.Proc, addr iommu.IOVA, size int, dir Dir) er
 // SyncForDevice implements Mapper: refresh the bounce slot from the OS
 // buffer.
 func (s *SWIOTLB) SyncForDevice(p *sim.Proc, addr iommu.IOVA, size int, dir Dir) error {
-	b, ok := s.live[addr]
+	b, ok := s.bounceAt(addr)
 	if !ok {
 		return fmt.Errorf("swiotlb: sync of unknown %#x", uint64(addr))
 	}

@@ -108,22 +108,28 @@ func (u *IOMMU) SetFaultRingCap(capacity int) {
 // software action (context-entry update + invalidation by the host), not a
 // queued one, so no stale IOTLB entry can outlive it.
 func (u *IOMMU) Block(dev DeviceID) {
-	if u.blocked == nil {
-		u.blocked = make(map[DeviceID]bool)
+	if d := u.record(dev); !d.blocked {
+		d.blocked = true
+		u.blockedDevs++
 	}
-	u.blocked[dev] = true
 	u.tlb.InvalidateDevice(dev)
 	u.Trace.Emit(u.eng.Now(), trace.CatFault, "dev %d blocked (quarantine)", dev)
 }
 
 // Unblock lifts a device's quarantine (readmission after cool-down).
 func (u *IOMMU) Unblock(dev DeviceID) {
-	delete(u.blocked, dev)
+	if d := u.lookup(dev); d != nil && d.blocked {
+		d.blocked = false
+		u.blockedDevs--
+	}
 	u.Trace.Emit(u.eng.Now(), trace.CatFault, "dev %d unblocked (readmitted)", dev)
 }
 
 // Blocked reports whether the device is quarantined.
-func (u *IOMMU) Blocked(dev DeviceID) bool { return u.blocked[dev] }
+func (u *IOMMU) Blocked(dev DeviceID) bool {
+	d := u.lookup(dev)
+	return d != nil && d.blocked
+}
 
 // DetachDevice models the OS side of a surprise hot-unplug: the device's
 // passthrough bypass (if any) is revoked, its domain's page tables are
@@ -133,14 +139,14 @@ func (u *IOMMU) Blocked(dev DeviceID) bool { return u.blocked[dev] }
 // mapping owners' later unmaps of wiped pages are tolerated via the
 // domain's wipe debt, as for WipeDomain.
 func (u *IOMMU) DetachDevice(dev DeviceID) uint64 {
-	delete(u.passthrough, dev)
+	u.record(dev).passthrough = false
 	n := u.WipeDomain(dev)
 	u.Trace.Emit(u.eng.Now(), trace.CatUnmap, "dev %d detached (hot-unplug)", dev)
 	return n
 }
 
 // BlockedDevices returns the number of currently quarantined devices.
-func (u *IOMMU) BlockedDevices() int { return len(u.blocked) }
+func (u *IOMMU) BlockedDevices() int { return u.blockedDevs }
 
 // WipeDomain tears down every mapping of the device's domain (quarantine
 // with TeardownMappings: a fresh page-table root) and drops its cached

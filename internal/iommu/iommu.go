@@ -78,16 +78,20 @@ type IOMMU struct {
 	mem   *mem.Memory
 	costs *cycles.Costs
 
-	domains     map[DeviceID]*Domain
-	passthrough map[DeviceID]bool
-	tlb         *IOTLB
-	Queue       *InvQueue
+	// devices holds each device's record; last caches the most recent
+	// lookup, since a machine's DMA traffic comes from one or two devices.
+	devices map[DeviceID]*device
+	lastDev DeviceID
+	last    *device
+	// blockedDevs counts records with blocked set.
+	blockedDevs int
+
+	tlb   *IOTLB
+	Queue *InvQueue
 
 	// ring is the fixed-capacity fault recording ring (see faultring.go).
 	// A fault storm costs O(DefaultFaultRingCap) memory, never more.
-	ring *FaultRing
-	// blocked holds quarantined devices whose DMAs fail at the root.
-	blocked   map[DeviceID]bool
+	ring      *FaultRing
 	FaultHook func(Fault)
 
 	// WalkSerialize, when true, serializes page-table walks through a
@@ -103,10 +107,7 @@ type IOMMU struct {
 	// (tracepoint-style debugging; see internal/trace).
 	Trace *trace.Tracer
 
-	// msiGrants holds the interrupt-remapping table: per device, the
-	// vectors the OS granted it (see msi.go).
-	msiGrants map[DeviceID]map[uint32]bool
-	msiStats  MSIStats
+	msiStats MSIStats
 
 	// Stats
 	Translations uint64
@@ -116,19 +117,52 @@ type IOMMU struct {
 	BlockedDMAs uint64
 }
 
+// device is the IOMMU's state for one device: its protection domain (nil
+// until first used), its passthrough and quarantine flags, and its
+// interrupt-remapping entries (see msi.go).
+type device struct {
+	domain      *Domain
+	passthrough bool
+	blocked     bool
+	// msi is the set of granted vectors, one bit per 8-bit vector.
+	msi [4]uint64
+}
+
 // New creates an IOMMU attached to the machine's memory and engine.
 func New(eng *sim.Engine, m *mem.Memory, costs *cycles.Costs) *IOMMU {
 	u := &IOMMU{
-		eng:         eng,
-		mem:         m,
-		costs:       costs,
-		domains:     make(map[DeviceID]*Domain),
-		passthrough: make(map[DeviceID]bool),
-		tlb:         NewIOTLB(64, 4),
-		ring:        NewFaultRing(DefaultFaultRingCap),
+		eng:     eng,
+		mem:     m,
+		costs:   costs,
+		devices: make(map[DeviceID]*device),
+		tlb:     NewIOTLB(64, 4),
+		ring:    NewFaultRing(DefaultFaultRingCap),
 	}
 	u.Queue = newInvQueue(eng, u, costs)
 	return u
+}
+
+// lookup returns dev's record, or nil when nothing was ever set for it.
+func (u *IOMMU) lookup(dev DeviceID) *device {
+	if u.last != nil && u.lastDev == dev {
+		return u.last
+	}
+	d := u.devices[dev]
+	if d != nil {
+		u.lastDev, u.last = dev, d
+	}
+	return d
+}
+
+// record returns dev's record, creating it.
+func (u *IOMMU) record(dev DeviceID) *device {
+	if d := u.lookup(dev); d != nil {
+		return d
+	}
+	d := &device{}
+	u.devices[dev] = d
+	u.lastDev, u.last = dev, d
+	return d
 }
 
 // TLB exposes the IOTLB (for stats and tests).
@@ -143,17 +177,28 @@ func (u *IOMMU) Faults() []Fault { return u.ring.Snapshot() }
 // SetPassthrough disables translation for a device ("no-iommu" mode: IOVA
 // is used directly as a physical address, no protection).
 func (u *IOMMU) SetPassthrough(dev DeviceID, on bool) {
-	u.passthrough[dev] = on
+	u.record(dev).passthrough = on
 }
 
 // DomainFor returns (creating if needed) the device's protection domain.
 func (u *IOMMU) DomainFor(dev DeviceID) *Domain {
-	d, ok := u.domains[dev]
-	if !ok {
-		d = newDomain(dev)
-		u.domains[dev] = d
+	d := u.record(dev)
+	if d.domain == nil {
+		d.domain = newDomain(dev)
 	}
-	return d
+	return d.domain
+}
+
+// pageRange returns the first and last IOVA page of [iova, iova+size),
+// failing when the range reaches past the 48-bit IOVA space: VT-d faults
+// on addresses beyond the domain's address width instead of dropping the
+// high bits.
+func pageRange(iova IOVA, size int) (first, last uint64, err error) {
+	const limit = uint64(1) << IOVABits
+	if uint64(iova) >= limit || uint64(size) > limit-uint64(iova) {
+		return 0, 0, fmt.Errorf("iommu: iova range %#x+%d beyond the %d-bit IOVA space", uint64(iova), size, IOVABits)
+	}
+	return iova.Page(), (uint64(iova) + uint64(size) - 1) >> mem.PageShift, nil
 }
 
 // Map installs a mapping iova→phys of size bytes (rounded out to whole
@@ -167,9 +212,11 @@ func (u *IOMMU) Map(dev DeviceID, iova IOVA, phys mem.Phys, size int, perm Perm)
 	if iova.Offset() != phys.Offset() {
 		return fmt.Errorf("iommu: iova/phys offset mismatch (%#x vs %#x)", uint64(iova), uint64(phys))
 	}
+	first, last, err := pageRange(iova, size)
+	if err != nil {
+		return err
+	}
 	d := u.DomainFor(dev)
-	first := iova.Page()
-	last := (uint64(iova) + uint64(size) - 1) >> mem.PageShift
 	// Validate first: mapping must be all-or-nothing.
 	for pg := first; pg <= last; pg++ {
 		if _, ok := d.lookup(pg); ok {
@@ -193,9 +240,11 @@ func (u *IOMMU) Map(dev DeviceID, iova IOVA, phys mem.Phys, size int, perm Perm)
 // responsibility, which is precisely the crux of strict vs deferred
 // protection.
 func (u *IOMMU) Unmap(dev DeviceID, iova IOVA, size int) error {
+	first, last, err := pageRange(iova, size)
+	if err != nil {
+		return err
+	}
 	d := u.DomainFor(dev)
-	first := iova.Page()
-	last := (uint64(iova) + uint64(size) - 1) >> mem.PageShift
 	var cleared, missing uint64
 	firstMissing := uint64(0)
 	for pg := first; pg <= last; pg++ {
@@ -235,10 +284,11 @@ func (u *IOMMU) Unmap(dev DeviceID, iova IOVA, size int) error {
 // protection vulnerability window (paper §2.2.1, §4).
 func (u *IOMMU) Translate(dev DeviceID, iova IOVA, want Perm) (mem.Phys, uint64, *Fault) {
 	u.Translations++
-	if u.passthrough[dev] {
+	rec := u.lookup(dev)
+	if rec != nil && rec.passthrough {
 		return mem.Phys(iova), 0, nil
 	}
-	if u.blocked[dev] {
+	if rec != nil && rec.blocked {
 		// Quarantined: rejected at the root port. Zero latency, no fault
 		// record, no hook — containment must be cheaper than translation.
 		u.BlockedDMAs++
@@ -253,11 +303,10 @@ func (u *IOMMU) Translate(dev DeviceID, iova IOVA, want Perm) (mem.Phys, uint64,
 		return mem.Phys(e.pfn<<mem.PageShift) + mem.Phys(iova.Offset()), 0, nil
 	}
 	walk := u.walkLatency()
-	d, ok := u.domains[dev]
-	if !ok {
+	if rec == nil || rec.domain == nil {
 		return 0, walk, u.fault(dev, iova, want, "no domain")
 	}
-	e, ok := d.lookup(pg)
+	e, ok := rec.domain.lookup(pg)
 	if !ok {
 		return 0, walk, u.fault(dev, iova, want, "not present")
 	}

@@ -103,6 +103,93 @@ func TestDoubleMapAndBadUnmap(t *testing.T) {
 	}
 }
 
+// TestIOVABeyond48BitsFaults checks that the page walk does not drop
+// address bits above the 48-bit IOVA space: a DMA there faults instead of
+// reaching the page 2^48 below it, and Map and Unmap there fail.
+func TestIOVABeyond48BitsFaults(t *testing.T) {
+	_, m, u := setup()
+	phys, _ := m.AllocPages(0, 1)
+	const iova = IOVA(0x1000_0000)
+	if err := u.Map(1, iova, phys, mem.PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	for _, alias := range []IOVA{iova + 1<<48, iova + 1<<60} {
+		if res := u.DMAWrite(1, alias, []byte("x")); res.Fault == nil || res.Done != 0 {
+			t.Errorf("DMA write to %#x reached the page mapped at %#x: %+v", uint64(alias), uint64(iova), res)
+		}
+		if _, _, f := u.Translate(1, alias, PermRead); f == nil {
+			t.Errorf("translate of %#x succeeded", uint64(alias))
+		}
+		if err := u.Map(1, alias, phys, mem.PageSize, PermRW); err == nil {
+			t.Errorf("map at %#x succeeded", uint64(alias))
+		}
+		if err := u.Unmap(1, alias, mem.PageSize); err == nil {
+			t.Errorf("unmap at %#x succeeded", uint64(alias))
+		}
+	}
+	// A range that starts inside the space but ends past it fails whole.
+	top := IOVA(1<<48 - mem.PageSize)
+	if err := u.Map(1, top, phys, 2*mem.PageSize, PermRW); err == nil {
+		t.Error("map across the top of the IOVA space succeeded")
+	}
+	if err := u.Map(1, top, phys, mem.PageSize, PermRW); err != nil {
+		t.Fatalf("map of the last IOVA page: %v", err)
+	}
+	if got := u.DomainFor(1).MappedPages(); got != 2 {
+		t.Errorf("mapped pages = %d, want 2", got)
+	}
+}
+
+// TestDeviceRecordsAreIndependent checks that one device's passthrough,
+// quarantine, domain and MSI grants never show through another's, in
+// whatever order the devices are looked up.
+func TestDeviceRecordsAreIndependent(t *testing.T) {
+	_, m, u := setup()
+	phys, _ := m.AllocPages(0, 1)
+	if err := u.Map(1, 0x5000, phys, mem.PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	u.SetPassthrough(2, true)
+	u.GrantMSI(1, 40)
+	u.Block(3)
+	u.Block(3)
+	if got := u.BlockedDevices(); got != 1 {
+		t.Errorf("blocked devices = %d after blocking one device twice", got)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, f := u.Translate(1, 0x5000, PermWrite); f != nil {
+			t.Errorf("dev 1: %v", f)
+		}
+		if got, _, f := u.Translate(2, 0x5000, PermWrite); f != nil || got != 0x5000 {
+			t.Errorf("passthrough dev 2: %#x, %v", uint64(got), f)
+		}
+		if _, _, f := u.Translate(3, 0x5000, PermWrite); f == nil || f.Reason != "device quarantined" {
+			t.Errorf("quarantined dev 3: %v", f)
+		}
+		if _, _, f := u.Translate(4, 0x5000, PermWrite); f == nil || f.Reason != "no domain" {
+			t.Errorf("unknown dev 4: %v", f)
+		}
+		if res := u.MSIWrite(2, MSIBase, 40); res.Granted {
+			t.Error("dev 1's MSI grant showed through dev 2")
+		}
+		if !u.Blocked(3) || u.Blocked(1) || u.Blocked(4) {
+			t.Error("quarantine showed through another device")
+		}
+	}
+	u.Unblock(3)
+	u.Unblock(3)
+	u.Unblock(4)
+	if got := u.BlockedDevices(); got != 0 {
+		t.Errorf("blocked devices = %d after unblocking", got)
+	}
+	if n := u.DetachDevice(2); n != 0 {
+		t.Errorf("detach of a passthrough device wiped %d pages", n)
+	}
+	if _, _, f := u.Translate(2, 0x5000, PermWrite); f == nil {
+		t.Error("detached dev 2 still bypasses translation")
+	}
+}
+
 func TestIOTLBWindowAfterUnmap(t *testing.T) {
 	// The deferred-protection vulnerability window: after Unmap (PTE
 	// cleared) but before IOTLB invalidation, a previously-used

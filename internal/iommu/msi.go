@@ -38,17 +38,13 @@ type MSIStats struct {
 }
 
 // GrantMSI programs an interrupt-remapping table entry: dev may signal
-// vector. The NIC grants one vector per queue at attach time.
+// vector. The NIC grants one vector per queue at attach time. A doorbell
+// write carries its vector in the data's low byte, so a vector above 255
+// can never be signalled and its grant records nothing.
 func (u *IOMMU) GrantMSI(dev DeviceID, vector uint32) {
-	if u.msiGrants == nil {
-		u.msiGrants = make(map[DeviceID]map[uint32]bool)
+	if vector <= 0xFF {
+		u.record(dev).msi[vector>>6] |= 1 << (vector & 63)
 	}
-	g := u.msiGrants[dev]
-	if g == nil {
-		g = make(map[uint32]bool)
-		u.msiGrants[dev] = g
-	}
-	g[vector] = true
 }
 
 // MSIWrite models a device's doorbell write carrying data (vector in the
@@ -58,16 +54,20 @@ func (u *IOMMU) GrantMSI(dev DeviceID, vector uint32) {
 // granted or not.
 func (u *IOMMU) MSIWrite(dev DeviceID, addr IOVA, data uint32) MSIResult {
 	vector := data & 0xFF
-	granted := u.msiGrants[dev][vector]
+	var rec device
+	if d := u.lookup(dev); d != nil {
+		rec = *d
+	}
+	granted := rec.msi[vector>>6]&(1<<(vector&63)) != 0
 	res := MSIResult{Vector: vector, Granted: granted}
 	u.msiStats.Writes++
-	if u.blocked[dev] {
+	if rec.blocked {
 		// Quarantined at the root port: nothing gets through, interrupts
 		// included.
 		u.msiStats.Blocked++
 		return res
 	}
-	if u.passthrough[dev] {
+	if rec.passthrough {
 		res.Delivered = true
 		u.msiStats.Delivered++
 		if !granted {

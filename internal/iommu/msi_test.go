@@ -65,4 +65,9 @@ func TestMSIVectorIsLowByte(t *testing.T) {
 	if res := u.MSIWrite(dev, MSIBase, 0xFF00+33); !res.Delivered || res.Vector != 33 {
 		t.Errorf("high data bits changed the vector: %+v", res)
 	}
+	// A grant above 255 names no vector a doorbell write can carry.
+	u.GrantMSI(dev, 0x100+34)
+	if res := u.MSIWrite(dev, MSIBase, 34); res.Delivered || res.Granted {
+		t.Errorf("grant of vector 0x122 let vector 34 through: %+v", res)
+	}
 }

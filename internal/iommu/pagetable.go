@@ -1,51 +1,32 @@
 package iommu
 
+import "repro/internal/mem"
+
 // Domain is a per-device protection domain: a 4-level radix page table
 // translating 48-bit IOVAs to physical frames, as in Intel VT-d
-// second-level translation.
+// second-level translation. The table is a mem.PageMap, whose last-leaf
+// cache turns most datapath walks into one compare (a queue's buffers
+// tile a few leaf nodes); the cache changes which pointers are chased,
+// never the PTE values observed.
 type Domain struct {
 	dev         DeviceID
-	root        *ptNode
+	ptes        mem.PageMap[pte]
 	mappedPages uint64
 	// wipeDebt counts pages destroyed by a quarantine WipeDomain whose
 	// owners have not yet unmapped them; those later unmaps are tolerated
 	// (see IOMMU.Unmap) instead of erroring as double-unmaps.
 	wipeDebt uint64
-
-	// Last-leaf cache: datapath map/unmap/translate traffic is strongly
-	// clustered (a queue's buffers tile a few leaf nodes), so remembering
-	// the last leaf visited turns most walks into one compare. leafKey is
-	// page >> ptLevelBits, unique per leaf node. The cache is host-side
-	// only — it changes which pointers are chased, never the PTE values
-	// observed.
-	leaf    *ptNode
-	leafKey uint64
 }
 
-const (
-	ptLevels    = 4
-	ptFanout    = 512 // 9 bits per level
-	ptLevelBits = 9
-)
-
+// pte is a leaf entry; the zero pte is not present.
 type pte struct {
 	pfn   uint64
 	perm  Perm
 	valid bool
 }
 
-// ptNode is one radix node. Interior nodes populate children; leaf nodes
-// populate ptes. The role-specific slices are allocated on first use so a
-// node only ever pays for the array its level needs (a combined
-// fixed-array struct made every node ~16 KiB, which at 128 queues of
-// mapped rings dominated the simulator's resident set).
-type ptNode struct {
-	children []*ptNode
-	ptes     []pte
-}
-
 func newDomain(dev DeviceID) *Domain {
-	return &Domain{dev: dev, root: &ptNode{}}
+	return &Domain{dev: dev}
 }
 
 // Dev returns the owning device.
@@ -54,75 +35,29 @@ func (d *Domain) Dev() DeviceID { return d.dev }
 // MappedPages returns the number of currently mapped IOVA pages.
 func (d *Domain) MappedPages() uint64 { return d.mappedPages }
 
-// resetRoot replaces the page table with an empty one (quarantine wipe),
-// dropping the leaf cache with it.
+// resetRoot replaces the page table with an empty one (quarantine wipe).
 func (d *Domain) resetRoot() {
-	d.root = &ptNode{}
-	d.leaf = nil
-	d.leafKey = 0
+	d.ptes = mem.PageMap[pte]{}
 }
 
-// leafFor walks to the leaf node covering page, optionally creating the
-// path. It returns nil when the path is absent and create is false.
-func (d *Domain) leafFor(page uint64, create bool) *ptNode {
-	key := page >> ptLevelBits
-	if d.leaf != nil && d.leafKey == key {
-		return d.leaf
-	}
-	n := d.root
-	for l := ptLevels - 1; l >= 1; l-- {
-		idx := int((page >> (uint(l) * ptLevelBits)) & (ptFanout - 1))
-		if n.children == nil {
-			if !create {
-				return nil
-			}
-			n.children = make([]*ptNode, ptFanout)
-		}
-		next := n.children[idx]
-		if next == nil {
-			if !create {
-				return nil
-			}
-			next = &ptNode{}
-			n.children[idx] = next
-		}
-		n = next
-	}
-	if n.ptes == nil {
-		if !create {
-			return nil
-		}
-		n.ptes = make([]pte, ptFanout)
-	}
-	d.leaf, d.leafKey = n, key
-	return n
-}
-
-// lookup walks the page table for an IOVA page.
+// lookup walks the page table for an IOVA page. A page beyond the 48-bit
+// IOVA space is never present.
 func (d *Domain) lookup(page uint64) (pte, bool) {
-	n := d.leafFor(page, false)
-	if n == nil {
-		return pte{}, false
-	}
-	e := n.ptes[page&(ptFanout-1)]
+	e := d.ptes.Get(page)
 	return e, e.valid
 }
 
 // set installs a leaf PTE, allocating interior nodes on demand.
 func (d *Domain) set(page uint64, e pte) {
-	d.leafFor(page, true).ptes[page&(ptFanout-1)] = e
+	d.ptes.Set(page, e)
 }
 
 // clear removes a leaf PTE, reporting whether it was present. Interior
 // nodes are retained (as Linux retains page-table pages until a flush).
 func (d *Domain) clear(page uint64) bool {
-	n := d.leafFor(page, false)
-	if n == nil {
+	if !d.ptes.Get(page).valid {
 		return false
 	}
-	if !n.ptes[page&(ptFanout-1)].valid {
-		return false
-	}
-	n.ptes[page&(ptFanout-1)] = pte{}
+	d.ptes.Set(page, pte{})
 	return true
 }

@@ -32,13 +32,10 @@ type TreeAllocator struct {
 	root   *extent
 	lo, hi uint64 // free page-number range covered, [lo, hi)
 
-	// The allocated-range index (start page -> pages) is sharded by a
-	// hash of the start page: per-core magazine misses from different
-	// simulated cores land in different small maps instead of rehashing
-	// one monolithic one. Sharding is pure host-side bookkeeping — it
-	// records allocations, never chooses them — so allocation order and
-	// addresses are bit-identical to the single-map layout.
-	allocMap [allocShards]map[uint64]int
+	// allocMap records each allocated range's page count under its start
+	// page. It is host-side bookkeeping only: it records allocations,
+	// never chooses them.
+	allocMap mem.PageMap[int]
 
 	// freeExt chains recycled AVL nodes (through left) so steady-state
 	// alloc/free churn stops hitting the host heap.
@@ -49,15 +46,6 @@ type TreeAllocator struct {
 	outstanding           uint64
 }
 
-const (
-	allocShardBits = 4
-	allocShards    = 1 << allocShardBits
-)
-
-func allocShard(page uint64) uint64 {
-	return (page * 0x9e3779b97f4a7c15) >> (64 - allocShardBits)
-}
-
 type extent struct {
 	start, size uint64
 	left, right *extent
@@ -65,15 +53,16 @@ type extent struct {
 	maxSize     uint64
 }
 
-// NewTree creates an allocator managing IOVA pages [loPage, hiPage).
+// NewTree creates an allocator managing IOVA pages [loPage, hiPage),
+// which must lie in the 48-bit IOVA space.
 func NewTree(loPage, hiPage uint64) *TreeAllocator {
 	if hiPage <= loPage {
 		panic("iova: empty range")
 	}
-	t := &TreeAllocator{lo: loPage, hi: hiPage}
-	for i := range t.allocMap {
-		t.allocMap[i] = make(map[uint64]int)
+	if hiPage > mem.PageMapPages {
+		panic("iova: range beyond the IOVA space")
 	}
+	t := &TreeAllocator{lo: loPage, hi: hiPage}
 	t.root = t.insert(t.root, loPage, hiPage-loPage)
 	return t
 }
@@ -101,7 +90,7 @@ func (t *TreeAllocator) Alloc(_ int, npages int) (iommu.IOVA, error) {
 		e.size -= n
 		t.fixupPath(t.root, e.start)
 	}
-	t.allocMap[allocShard(start)][start] = npages
+	t.allocMap.Set(start, npages)
 	t.Allocs++
 	t.outstanding += n
 	return iommu.IOVA(start << mem.PageShift), nil
@@ -111,15 +100,14 @@ func (t *TreeAllocator) Alloc(_ int, npages int) (iommu.IOVA, error) {
 // free extents.
 func (t *TreeAllocator) Free(_ int, addr iommu.IOVA, npages int) error {
 	start := addr.Page()
-	shard := t.allocMap[allocShard(start)]
-	got, ok := shard[start]
-	if !ok {
+	got := t.allocMap.Get(start)
+	if got == 0 {
 		return fmt.Errorf("iova: free of unallocated %#x", uint64(addr))
 	}
 	if got != npages {
 		return fmt.Errorf("iova: free size mismatch at %#x: %d vs %d", uint64(addr), npages, got)
 	}
-	delete(shard, start)
+	t.allocMap.Set(start, 0)
 	n := uint64(npages)
 	// Coalesce with predecessor (free extent ending at start) and
 	// successor (free extent beginning at start+n).

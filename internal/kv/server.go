@@ -2,6 +2,7 @@ package kv
 
 import (
 	"repro/internal/cycles"
+	"repro/internal/mem"
 	"repro/internal/netstack"
 	"repro/internal/sim"
 )
@@ -36,6 +37,9 @@ type ServerStats struct {
 // Prepopulate fills the store with the benchmark key space so GETs hit
 // (memslap warms the cache before measuring).
 func Prepopulate(st *Store, domain int, cfg ServerConfig) error {
+	if len(st.table) == 0 {
+		st.table = make(map[string]mem.Buf, cfg.KeySpace)
+	}
 	val := make([]byte, cfg.ValueSize)
 	for i := range val {
 		val[i] = byte(i)

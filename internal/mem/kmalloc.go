@@ -15,8 +15,8 @@ type Kmalloc struct {
 	classes []int
 	// caches[domain][classIdx]
 	caches [][]*slabCache
-	// bySlabBase maps a slab's base PFN to its slab, for Free.
-	bySlab map[uint64]*slab
+	// bySlab maps a slab's base PFN to its slab, for Free.
+	bySlab PageMap[*slab]
 
 	// Slab headers are carved from chunked arenas: pointers stay stable
 	// (chunks are never reallocated) while the per-grow header allocation
@@ -75,7 +75,6 @@ func NewKmalloc(m *Memory, classes []int) *Kmalloc {
 		mem:     m,
 		classes: classes,
 		caches:  make([][]*slabCache, m.Domains()),
-		bySlab:  make(map[uint64]*slab),
 	}
 	for d := range k.caches {
 		k.caches[d] = make([]*slabCache, len(classes))
@@ -138,7 +137,7 @@ func (k *Kmalloc) grow(domain int, cache *slabCache) error {
 		s.free = append(s.free, i)
 	}
 	cache.partial = append(cache.partial, s)
-	k.bySlab[base.PFN()] = s
+	k.bySlab.Set(base.PFN(), s)
 	return nil
 }
 
@@ -151,8 +150,8 @@ func (k *Kmalloc) Free(b Buf) error {
 		pages := (b.Size + PageSize - 1) / PageSize
 		return k.mem.FreePages(b.Addr, pages)
 	}
-	s, ok := k.bySlab[b.Addr.PFN()]
-	if !ok {
+	s := k.bySlab.Get(b.Addr.PFN())
+	if s == nil {
 		return fmt.Errorf("mem: kfree of unknown address %#x", uint64(b.Addr))
 	}
 	idx := int(b.Addr-s.base) / s.objSize

@@ -80,6 +80,7 @@ func NewSource(eng *sim.Engine, q *Queue, costs *cycles.Costs, msgSize, mtu int,
 		s.interval = cycles.Hz / costs.RemoteSyscallsPerSec
 	}
 	s.onWire = sim.NewStream(eng, s.deliver)
+	s.onWire.Reserve(q.RxRing.Size()) // credit caps the frames in flight
 	s.timerCb = func(now uint64) {
 		s.timerArmed = false
 		s.pump(now)

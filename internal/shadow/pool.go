@@ -345,14 +345,15 @@ func (p *Pool) grow(proc *sim.Proc, core, class, ri int) (*Meta, error) {
 	// are infrequent so this lock is uncontended — paper footnote 5).
 	base, reserved := ds.reserve(proc, class, uint64(chunks), p.cfg.MaxPerClass, p.enc.maxIndex(class))
 
-	var metas []*Meta
+	// One buffer is returned; the rest go to the private cache.
+	var first *Meta
 	if !reserved {
 		if p.cfg.DisableFallback {
 			_ = p.mem.FreePages(phys, pages)
 			return nil, fmt.Errorf("%w: class %d metadata full (fallback disabled)",
 				ErrPoolExhausted, class)
 		}
-		metas, err = p.growFallback(proc, core, class, ri, phys, chunks)
+		first, err = p.growFallback(proc, core, class, ri, phys, chunks)
 		if err != nil {
 			_ = p.mem.FreePages(phys, pages)
 			return nil, err
@@ -364,14 +365,12 @@ func (p *Pool) grow(proc *sim.Proc, core, class, ri int) (*Meta, error) {
 		// consecutive indices, so their IOVAs tile whole IOVA pages that
 		// map to the same physical page — and every IOVA page holds only
 		// same-rights shadow buffers (the byte-granularity guarantee).
-		first := p.enc.encode(core, ri, class, base)
 		span := chunks * classSize
-		if err := p.u.Map(p.dev, first, phys, span, rightsOf[ri]); err != nil {
+		if err := p.u.Map(p.dev, p.enc.encode(core, ri, class, base), phys, span, rightsOf[ri]); err != nil {
 			ds.unreserve(proc, class, base, uint64(chunks))
 			_ = p.mem.FreePages(phys, pages)
 			return nil, err
 		}
-		metas = make([]*Meta, chunks)
 		for i := 0; i < chunks; i++ {
 			idx := base + uint64(i)
 			m := ds.arena.alloc()
@@ -381,20 +380,22 @@ func (p *Pool) grow(proc *sim.Proc, core, class, ri int) (*Meta, error) {
 				shadow: mem.Buf{Addr: phys + mem.Phys(i*classSize), Size: classSize},
 			}
 			ds.metas[class][idx] = m
-			metas[i] = m
+			if i == 0 {
+				first = m
+			} else {
+				p.cache[core][class][ri] = append(p.cache[core][class][ri], m)
+			}
 		}
 	}
 	p.stats.BytesByClass[class] += uint64(bytes)
-
-	// One buffer is returned; the rest go to the private cache.
-	p.cache[core][class][ri] = append(p.cache[core][class][ri], metas[1:]...)
-	return metas[0], nil
+	return first, nil
 }
 
 // growFallback services a grow when the metadata array is exhausted: IOVAs
 // come from the external allocator and metadata goes to the hash table
-// (paper §5.3, fallback half of the IOVA space).
-func (p *Pool) growFallback(proc *sim.Proc, core, class, ri int, phys mem.Phys, chunks int) ([]*Meta, error) {
+// (paper §5.3, fallback half of the IOVA space). Like grow, it returns the
+// first new buffer and caches the rest.
+func (p *Pool) growFallback(proc *sim.Proc, core, class, ri int, phys mem.Phys, chunks int) (*Meta, error) {
 	classSize := p.cfg.SizeClasses[class]
 	span := chunks * classSize
 	pages := (span + mem.PageSize - 1) / mem.PageSize
@@ -408,7 +409,7 @@ func (p *Pool) growFallback(proc *sim.Proc, core, class, ri int, phys mem.Phys, 
 		_ = p.fb.alloc.Free(core, base, pages)
 		return nil, err
 	}
-	metas := make([]*Meta, chunks)
+	var first *Meta
 	p.fb.lock.Lock(proc)
 	for i := 0; i < chunks; i++ {
 		m := p.fb.arena.alloc()
@@ -418,11 +419,15 @@ func (p *Pool) growFallback(proc *sim.Proc, core, class, ri int, phys mem.Phys, 
 			shadow: mem.Buf{Addr: phys + mem.Phys(i*classSize), Size: classSize},
 		}
 		p.fb.table[m.iova] = m
-		metas[i] = m
+		if i == 0 {
+			first = m
+		} else {
+			p.cache[core][class][ri] = append(p.cache[core][class][ri], m)
+		}
 	}
 	p.fb.lock.Unlock(proc)
 	p.stats.FallbackBuffers += uint64(chunks)
-	return metas, nil
+	return first, nil
 }
 
 // Find locates the metadata of the shadow buffer whose base IOVA is addr,

@@ -55,7 +55,7 @@ func (s *Stream[T]) Schedule(at uint64, v T) {
 		}
 	}
 	if s.n == len(s.ring) {
-		s.grow()
+		s.resize(max(2*len(s.ring), minStreamRing))
 		mask = len(s.ring) - 1
 	}
 	seq := e.seq
@@ -67,12 +67,25 @@ func (s *Stream[T]) Schedule(at uint64, v T) {
 	}
 }
 
-// grow doubles the ring, unwrapping the pending entries to its front.
-func (s *Stream[T]) grow() {
-	size := 2 * len(s.ring)
-	if size == 0 {
-		size = 16
+// minStreamRing is the ring size a stream's first entry allocates.
+const minStreamRing = 16
+
+// Reserve sizes the ring to hold n pending entries without growing, for a
+// stream whose depth has a known bound, such as a source's frames in
+// flight, which its receiver's ring caps.
+func (s *Stream[T]) Reserve(n int) {
+	size := max(len(s.ring), minStreamRing)
+	for size < n {
+		size *= 2
 	}
+	if size > len(s.ring) {
+		s.resize(size)
+	}
+}
+
+// resize moves the pending entries to the front of a ring of size entries
+// (a power of two, at least s.n).
+func (s *Stream[T]) resize(size int) {
 	ring := make([]streamEntry[T], size)
 	for i := 0; i < s.n; i++ {
 		ring[i] = s.ring[(s.head+i)&(len(s.ring)-1)]

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -46,7 +47,39 @@ type inflight struct {
 	buf  mem.Buf
 	dir  dmaapi.Dir
 	lba  uint64
-	data []byte // expected read content / written content
+	data []byte // expected read content (Verify only)
+}
+
+// payloadFill generates write payloads: exactly the bytes rng.Read would
+// produce, from exactly the same Int63 draws (seven bytes per draw, least
+// significant first, a partial draw carried into the next call), so the
+// rest of the workload's random sequence is unchanged. Whole draws are
+// stored eight bytes at a time; the eighth byte is overwritten by the
+// next draw.
+type payloadFill struct {
+	rng *rand.Rand
+	val int64 // undelivered bytes of the last draw, next byte lowest
+	pos int   // how many bytes val still holds
+}
+
+func (f *payloadFill) fill(b []byte) {
+	n := 0
+	for ; n < len(b) && f.pos > 0; n++ {
+		b[n] = byte(f.val)
+		f.val >>= 8
+		f.pos--
+	}
+	for ; n+8 <= len(b); n += 7 {
+		binary.LittleEndian.PutUint64(b[n:], uint64(f.rng.Int63()))
+	}
+	for ; n < len(b); n++ {
+		if f.pos == 0 {
+			f.val, f.pos = f.rng.Int63(), 7
+		}
+		b[n] = byte(f.val)
+		f.val >>= 8
+		f.pos--
+	}
 }
 
 // RunWorkload runs random I/O on queue qi until the engine stops it.
@@ -64,6 +97,7 @@ func (bd *BlockDriver) RunWorkload(p *sim.Proc, qi int, cfg WorkloadConfig, st *
 	co := bd.env.Costs
 	domain := bd.env.DomainOfCore(p.Core())
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(qi)))
+	payload, fill := make([]byte, cfg.IOSize), payloadFill{rng: rng}
 
 	// Buffer pool: one per outstanding command.
 	var pool []mem.Buf
@@ -141,9 +175,8 @@ func (bd *BlockDriver) RunWorkload(p *sim.Proc, qi int, cfg WorkloadConfig, st *
 			cmd = Command{Op: OpRead, LBA: lba, Addr: addr, Len: cfg.IOSize, Tag: fl}
 		} else {
 			fl.dir = dmaapi.ToDevice
-			fl.data = make([]byte, cfg.IOSize)
-			rng.Read(fl.data)
-			if err := bd.env.Mem.Write(buf.Addr, fl.data); err != nil {
+			fill.fill(payload)
+			if err := bd.env.Mem.Write(buf.Addr, payload); err != nil {
 				return err
 			}
 			addr, err := bd.mapper.Map(p, buf, fl.dir)
