@@ -132,15 +132,16 @@ profile:
 # Native coverage-guided fuzzing, every target: IOMMU translation vs. a
 # model page table and mem access vs. a model byte store (both seeded
 # from dmafuzz-generated corpora), the page-indexed table vs. a Go map,
-# the shadow pool's IOVA metadata decoder, and the KV server's request
-# decoder. Short budgets — this is a smoke pass; raise -fuzztime for a
-# real fuzzing session.
+# the shadow pool's IOVA metadata decoder, the KV server's request
+# decoder, and the daemon's request decoder plus RunSpec.Normalize. Short
+# budgets — this is a smoke pass; raise -fuzztime for a longer campaign.
 fuzz:
 	$(GO) test ./internal/iommu/ -run '^$$' -fuzz '^FuzzTranslate$$' -fuzztime 10s
 	$(GO) test ./internal/mem/ -run '^$$' -fuzz '^FuzzAccess$$' -fuzztime 10s
 	$(GO) test ./internal/mem/ -run '^$$' -fuzz '^FuzzPageMap$$' -fuzztime 10s
 	$(GO) test ./internal/shadow/ -run '^$$' -fuzz '^FuzzIOVADecode$$' -fuzztime 10s
 	$(GO) test ./internal/kv/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s
+	$(GO) test ./internal/daemon/ -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s
 
 # The security oracle's line for a stale-IOVA write on a backend with no
 # declared window: the canaries below must print it, so a dmafuzz that

@@ -1,10 +1,12 @@
 // Command doccheck is the `make doc-check` gate: it keeps the repository's
-// documentation from rotting by verifying two invariants that are cheap to
-// break silently —
+// documentation from rotting by verifying three invariants that are cheap
+// to break silently —
 //
 //  1. every relative link in the markdown files resolves to a file or
-//     directory that actually exists (anchors after '#' are ignored), and
-//  2. every internal/ package carries a package comment in a non-test file,
+//     directory that actually exists (anchors after '#' are ignored),
+//  2. every `go run ./cmd/<name>` in the markdown names a command
+//     directory that exists, and
+//  3. every internal/ package carries a package comment in a non-test file,
 //     so `go doc repro/internal/<pkg>` always says something.
 //
 // It prints one line per violation and exits 1 if there are any.
@@ -26,6 +28,10 @@ import (
 // external (http) targets are skipped below anyway.
 var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
 
+// goRunCmd matches a `go run ./cmd/<name>` invocation. Placeholders such
+// as ./cmd/<tool> do not match.
+var goRunCmd = regexp.MustCompile(`go run \./cmd/([A-Za-z0-9_-]+)`)
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -33,17 +39,18 @@ func main() {
 	}
 	bad := 0
 	bad += checkLinks(root)
+	bad += checkCommands(root)
 	bad += checkPackageComments(root)
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doc-check: %d problem(s)\n", bad)
 		os.Exit(1)
 	}
-	fmt.Println("doc-check: all markdown links resolve; all internal packages documented")
+	fmt.Println("doc-check: all markdown links and commands resolve; all internal packages documented")
 }
 
-// checkLinks walks every .md file and verifies each relative link target
-// exists on disk, resolved against the file's own directory.
-func checkLinks(root string) int {
+// walkMarkdown calls check with every .md file under root and its
+// contents, and returns the violations check counted.
+func walkMarkdown(root string, check func(path, text string) int) int {
 	bad := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -62,7 +69,22 @@ func checkLinks(root string) int {
 		if err != nil {
 			return err
 		}
-		for _, m := range mdLink.FindAllStringSubmatch(string(data), -1) {
+		bad += check(path, string(data))
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doc-check: walk: %v\n", err)
+		return bad + 1
+	}
+	return bad
+}
+
+// checkLinks verifies that each relative link target in the markdown
+// exists on disk, resolved against the file's own directory.
+func checkLinks(root string) int {
+	return walkMarkdown(root, func(path, text string) int {
+		bad := 0
+		for _, m := range mdLink.FindAllStringSubmatch(text, -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
 				continue
@@ -78,13 +100,24 @@ func checkLinks(root string) int {
 				bad++
 			}
 		}
-		return nil
+		return bad
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doc-check: walk: %v\n", err)
-		return bad + 1
-	}
-	return bad
+}
+
+// checkCommands verifies that each `go run ./cmd/<name>` in the markdown
+// names a directory under root's cmd/.
+func checkCommands(root string) int {
+	return walkMarkdown(root, func(path, text string) int {
+		bad := 0
+		for _, m := range goRunCmd.FindAllStringSubmatch(text, -1) {
+			if _, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %q names a missing command (cmd/%s does not exist)\n",
+					path, m[0], m[1])
+				bad++
+			}
+		}
+		return bad
+	})
 }
 
 // checkPackageComments parses each internal/<pkg> directory (non-test

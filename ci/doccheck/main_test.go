@@ -31,6 +31,20 @@ func TestCheckLinks(t *testing.T) {
 	}
 }
 
+func TestCheckCommands(t *testing.T) {
+	root := t.TempDir()
+	write(t, filepath.Join(root, "cmd", "tool", "main.go"), "package main\n")
+	write(t, filepath.Join(root, "doc", "GUIDE.md"),
+		"`go run ./cmd/tool -x` and `go run ./cmd/<tool>` (a placeholder)\n")
+	if bad := checkCommands(root); bad != 0 {
+		t.Fatalf("clean tree: %d violations, want 0", bad)
+	}
+	write(t, filepath.Join(root, "README.md"), "go run ./cmd/gone -window 1\n")
+	if bad := checkCommands(root); bad != 1 {
+		t.Fatalf("missing command: %d violations, want 1", bad)
+	}
+}
+
 func TestCheckPackageComments(t *testing.T) {
 	root := t.TempDir()
 	write(t, filepath.Join(root, "internal", "good", "good.go"),
@@ -51,6 +65,9 @@ func TestRepoIsClean(t *testing.T) {
 	root := "../.."
 	if bad := checkLinks(root); bad != 0 {
 		t.Errorf("repo markdown links: %d broken", bad)
+	}
+	if bad := checkCommands(root); bad != 0 {
+		t.Errorf("repo markdown commands: %d name a missing cmd/ directory", bad)
 	}
 	if bad := checkPackageComments(root); bad != 0 {
 		t.Errorf("repo package comments: %d missing", bad)

@@ -42,7 +42,7 @@ func TestSpecFromArtifact(t *testing.T) {
 		t.Errorf("attack spec = %+v, %v (full-matrix tools use daemon defaults)", spec, err)
 	}
 
-	if _, err := specFromArtifact(art("netbench", 1), 0); err == nil {
+	if _, err := specFromArtifact(art("scalebench", 1), 0); err == nil {
 		t.Error("unmapped tool accepted")
 	}
 }

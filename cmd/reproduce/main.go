@@ -16,12 +16,19 @@
 // section fails, the completed sections are still written to the -json
 // path as a partial diagnostic artifact.
 //
+// -cyclereport appends five cycle-attribution tables, profiled on the
+// same farm: 16-core RX at 1500 B and at 64 KiB, single-core RR,
+// memcached and the DMA-API microbenchmark. -tracefile writes a Chrome
+// trace of the first selected experiment's machine (doc/OBSERVABILITY.md).
+//
 // -timeout bounds the whole run: on expiry the farm cancels queued data
 // points, the completed sections land in the partial artifact, and the
 // process exits 1 (a hard watchdog force-exits at 2x if cancellation
 // wedges). -daemon <socket> skips in-process computation entirely and
 // requests the artifact from a running simd (doc/DAEMON.md), which serves
-// memoized results instantly when the tree hasn't changed.
+// memoized results instantly when the tree hasn't changed. Flags that only
+// shape an in-process run (-cyclereport, -tracefile, -cpuprofile,
+// -memprofile, -parallel) are a usage error beside -daemon.
 package main
 
 import (
@@ -31,6 +38,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -54,8 +63,8 @@ func main() {
 	experiment := flag.String("experiment", "all", "comma-separated experiment names (fig1,fig3,...,table1), or 'all'")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	cycleReport := flag.Bool("cyclereport", false, "append the cycle-attribution tables (simulated-cycle profiler, doc/OBSERVABILITY.md)")
-	traceFile := flag.String("tracefile", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the 16-core RX workload to this path")
+	cycleReport := flag.Bool("cyclereport", false, "append the five cycle-attribution tables (simulated-cycle profiler, doc/OBSERVABILITY.md)")
+	traceFile := flag.String("tracefile", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the first selected experiment's machine to this path")
 	timeout := flag.Duration("timeout", 0, "abort after this wall-clock duration; completed sections become a partial diagnostic artifact (0 = unbounded)")
 	daemonSock := flag.String("daemon", "", "request the artifact from a running simd daemon at this unix socket instead of computing in-process")
 	flag.Parse()
@@ -66,6 +75,12 @@ func main() {
 		log.Fatalf("reproduce: %v", err)
 	}
 	if *daemonSock != "" {
+		if set := inProcessFlagsSet(); len(set) > 0 {
+			fmt.Fprintf(os.Stderr, "reproduce: %s cannot be combined with -daemon, which computes nothing in-process\n",
+				strings.Join(set, ", "))
+			flag.Usage()
+			os.Exit(2)
+		}
 		runViaDaemon(*daemonSock, spec, *timeout, *jsonOut)
 		return
 	}
@@ -123,7 +138,7 @@ func main() {
 	}
 	a := res.Artifact
 	if *cycleReport {
-		cts, err := bench.CycleReport(bench.Options{WindowMs: spec.WindowMs})
+		cts, err := bench.CycleReport(bench.Options{WindowMs: spec.WindowMs, Farm: farm})
 		if err != nil {
 			log.Fatalf("cycle report: %v", err)
 		}
@@ -137,9 +152,11 @@ func main() {
 		a.Add(farmExp)
 	}
 	if *traceFile != "" {
-		cfg := bench.DefaultConfig(bench.SysLinuxStrict, bench.RX, 16, 1500)
-		cfg.WindowMs = spec.WindowMs
-		if _, err := bench.WriteTrace(cfg, *traceFile); err != nil {
+		var sections []string // nil selects every section
+		if spec.Experiments != "all" {
+			sections = strings.Split(spec.Experiments, ",")
+		}
+		if err := bench.WriteSelectionTrace(sections, spec.WindowMs, *traceFile); err != nil {
 			log.Fatalf("trace: %v", err)
 		}
 		fmt.Printf("Chrome trace written to %s (load at https://ui.perfetto.dev)\n\n", *traceFile)
@@ -159,6 +176,21 @@ func main() {
 		}
 		fmt.Printf("artifact written to %s\n", path)
 	}
+}
+
+// inProcessOnly are the flags that only shape an in-process run.
+var inProcessOnly = []string{"cyclereport", "tracefile", "cpuprofile", "memprofile", "parallel"}
+
+// inProcessFlagsSet names each in-process-only flag given on the command
+// line.
+func inProcessFlagsSet() []string {
+	var set []string
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(inProcessOnly, f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }
 
 // runViaDaemon delegates the whole run to a simd daemon. The daemon

@@ -1,15 +1,32 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/report"
 )
+
+// TestMain lets the test binary stand in for the command: run with
+// "reproduce" as its first argument, it is main with the arguments that
+// follow, so tests can check exit codes end to end.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "reproduce" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // runMain invokes main with a fresh flag set, as the shell would.
 func runMain(t *testing.T, args ...string) {
@@ -86,6 +103,51 @@ func TestMainViaDaemon(t *testing.T) {
 	}
 	if string(b1) != string(b2) {
 		t.Error("memoized daemon artifact differs from the computed one")
+	}
+}
+
+func TestMainCycleReportPrecedesFarm(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out.json")
+	runMain(t, "-experiment", "fig11", "-window", "0.5", "-cyclereport", "-json", out)
+	a, err := report.Load(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range a.Experiments {
+		names = append(names, e.Name)
+	}
+	want := []string{"fig11", "cycles-mtu", "cycles-64k", "cycles-rr", "cycles-kv", "cycles-micro", "farm"}
+	if !slices.Equal(names, want) {
+		t.Errorf("experiments = %v, want %v", names, want)
+	}
+}
+
+// TestDaemonRejectsInProcessFlags: -daemon computes nothing in-process,
+// so flags that only shape an in-process run are a usage error (exit 2)
+// naming each one, not silently dropped.
+func TestDaemonRejectsInProcessFlags(t *testing.T) {
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(self, "reproduce", "-daemon", filepath.Join(t.TempDir(), "none.sock"),
+		"-cyclereport", "-parallel", "2", "-tracefile", "t.json", "-window", "1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2; stderr:\n%s", err, stderr.String())
+	}
+	msg := strings.SplitN(stderr.String(), "\n", 2)[0]
+	for _, want := range []string{"-cyclereport", "-parallel", "-tracefile", "-daemon"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("usage error %q does not name %s", msg, want)
+		}
+	}
+	if strings.Contains(msg, "-window") {
+		t.Errorf("usage error %q names -window, which the daemon honours", msg)
 	}
 }
 

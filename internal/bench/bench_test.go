@@ -2,7 +2,6 @@ package bench
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/cycles"
@@ -510,24 +509,5 @@ func TestTablesRender(t *testing.T) {
 	s := tab.String()
 	if len(s) == 0 || tab.Columns[0] != "msg" {
 		t.Error("table rendering broken")
-	}
-	csvOut := tab.CSV()
-	if !strings.HasPrefix(csvOut, "msg,") {
-		t.Errorf("csv header wrong: %q", csvOut[:20])
-	}
-	if strings.Count(csvOut, "\n") != len(tab.Rows)+1 {
-		t.Error("csv row count wrong")
-	}
-	jsonOut, err := tab.JSON()
-	if err != nil || !strings.Contains(jsonOut, `"columns"`) {
-		t.Errorf("json rendering broken: %v", err)
-	}
-	if _, err := tab.Render("nonesuch"); err == nil {
-		t.Error("unknown format should fail")
-	}
-	for _, f := range []string{"", "text", "csv", "json"} {
-		if _, err := tab.Render(f); err != nil {
-			t.Errorf("format %q: %v", f, err)
-		}
 	}
 }

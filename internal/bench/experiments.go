@@ -15,13 +15,14 @@ type Options struct {
 	WindowMs float64
 	Sizes    []int
 	Systems  []string
-	// Costs overrides the cost model (e.g. loaded from JSON); nil uses
-	// the paper-calibrated defaults.
+	// Costs overrides the cost model (the sensitivity analysis perturbs
+	// it); nil uses the paper-calibrated defaults.
 	Costs *cycles.Costs
 	// Farm is the worker pool sweep points are submitted through. Nil
 	// uses a shared process-wide pool sized GOMAXPROCS, so standalone
-	// experiment calls still parallelize; RunSuite and the cmd/* drivers
-	// thread an explicitly-sized pool through here (-parallel).
+	// experiment calls still parallelize; RunSuite and cmd/reproduce's
+	// cycle report thread an explicitly-sized pool through here
+	// (-parallel).
 	Farm *Farm
 
 	// memo shares points between the sections of one RunSuite call (see
@@ -464,5 +465,37 @@ func MemoryConsumption(opt Options) (*Table, error) {
 		})
 	}
 	t.Note = "worst case bound (paper): 2 NUMA domains x (16K x 4KB + 16K x 64KB) = 2.1 GB"
+	return t, nil
+}
+
+// MemoryDetail breaks the §6 footprint down by shadow-pool size class. It
+// reads the memory section's 16-core RX point, so in a report it runs no
+// simulation of its own.
+func MemoryDetail(opt Options) (*Table, error) {
+	results, err := opt.runConfigs([]Config{opt.config(SysCopy, RX, 16, 65536)},
+		func(int) string { return fmt.Sprintf("%s/%s/16 cores", SysCopy, RX) })
+	if err != nil {
+		return nil, err
+	}
+	r := results[0]
+	t := &Table{
+		Name:    "memdetail",
+		Title:   "Shadow pool composition (paper §6): 16-core RX 64KB, MB per size class",
+		Columns: []string{"class", "MB"},
+	}
+	for i, b := range r.PoolBytesByClass {
+		mb := float64(b) / (1 << 20)
+		t.AddRow(fmt.Sprintf("%d", i), f2(mb))
+		t.Point(SysCopy, fmt.Sprintf("class %d", i), map[string]float64{"mb": mb})
+	}
+	t.AddRow("total", f2(float64(r.PoolBytes)/(1<<20)))
+	t.Point(SysCopy, "total", map[string]float64{
+		"mb":               float64(r.PoolBytes) / (1 << 20),
+		"grows":            float64(r.MapperStats.ShadowGrows),
+		"fallback_buffers": float64(r.MapperStats.FallbackMaps),
+		"iotlb_hit_rate":   r.IOTLBHitRate,
+	})
+	t.Note = fmt.Sprintf("pool grows %d, fallback buffers %d, IOTLB hit rate %.1f%%, invalidations %d",
+		r.MapperStats.ShadowGrows, r.MapperStats.FallbackMaps, 100*r.IOTLBHitRate, r.Invalidations)
 	return t, nil
 }

@@ -2,9 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -15,17 +14,12 @@ import (
 // render as the same Table/Series schema every other experiment uses, so
 // cycle reports flow into -json artifacts and benchdiff unchanged.
 
-// cyclePoint is one profiled workload point of a cycle report.
-type cyclePoint struct {
-	system string
-	run    func() (*obs.Profile, error)
-}
-
-// profileTable renders per-system profiles as a breakdown-category table:
-// one row per category (percent of the workload procs' busy cycles), plus
-// attribution coverage and the busy-cycle denominator. The structured
-// series carries the same numbers for the artifact schema.
-func profileTable(name, title string, systems []string, profs map[string]*obs.Profile) *Table {
+// profileTable renders per-system profiles (profs[i] is systems[i]'s) as
+// a breakdown-category table: one row per category (percent of the
+// workload procs' busy cycles), plus attribution coverage and the
+// busy-cycle denominator. The structured series carries the same numbers
+// for the artifact schema.
+func profileTable(name, title string, systems []string, profs []*obs.Profile) *Table {
 	t := &Table{
 		Name:    name,
 		Title:   title,
@@ -34,11 +28,9 @@ func profileTable(name, title string, systems []string, profs map[string]*obs.Pr
 	}
 	// Union of categories, ordered by total cycles across systems.
 	totals := make(map[string]uint64)
-	for _, sys := range systems {
-		if p := profs[sys]; p != nil {
-			for _, g := range p.Groups() {
-				totals[g.Group] += g.Cycles
-			}
+	for _, p := range profs {
+		for _, g := range p.Groups() {
+			totals[g.Group] += g.Cycles
 		}
 	}
 	groups := make([]string, 0, len(totals))
@@ -52,22 +44,21 @@ func profileTable(name, title string, systems []string, profs map[string]*obs.Pr
 		return groups[i] < groups[j]
 	})
 	pct := func(p *obs.Profile, cyc uint64) float64 {
-		if p == nil || p.TotalBusy == 0 {
+		if p.TotalBusy == 0 {
 			return 0
 		}
 		return 100 * float64(cyc) / float64(p.TotalBusy)
 	}
 	for _, g := range groups {
 		row := []string{g}
-		for _, sys := range systems {
-			row = append(row, f1(pct(profs[sys], profs[sys].GroupCycles(g))))
+		for _, p := range profs {
+			row = append(row, f1(pct(p, p.GroupCycles(g))))
 		}
 		t.AddRow(row...)
 	}
 	cov := []string{"attributed %"}
 	busy := []string{"busy Mcycles"}
-	for _, sys := range systems {
-		p := profs[sys]
+	for i, p := range profs {
 		cov = append(cov, f1(100*p.Coverage()))
 		busy = append(busy, f1(float64(p.TotalBusy)/1e6))
 		metrics := map[string]float64{
@@ -77,141 +68,96 @@ func profileTable(name, title string, systems []string, profs map[string]*obs.Pr
 		for _, g := range groups {
 			metrics[g+"_pct"] = pct(p, p.GroupCycles(g))
 		}
-		t.Point(sys, "busy", metrics)
+		t.Point(systems[i], "busy", metrics)
 	}
 	t.AddRow(cov...)
 	t.AddRow(busy...)
 	return t
 }
 
-// runCycleTable executes one profiled run per system (concurrently — each
-// on its own machine and observer) and folds them into a profileTable.
-func runCycleTable(name, title string, pts []cyclePoint) (*Table, error) {
-	profs := make(map[string]*obs.Profile, len(pts))
-	systems := make([]string, 0, len(pts))
-	errs := make([]error, len(pts))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, pt := range pts {
-		systems = append(systems, pt.system)
-		i, pt := i, pt
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			p, err := pt.run()
-			if err != nil {
-				errs[i] = fmt.Errorf("%s/%s: %w", name, pt.system, err)
-				return
-			}
-			mu.Lock()
-			profs[pt.system] = p
-			mu.Unlock()
-		}()
+// workload runs one observed machine of a system and returns its
+// profile: the unit both -cyclereport and -tracefile run.
+type workload func(opt Options, system string, o *obs.Observer) (*obs.Profile, error)
+
+// streamWorkload is one netperf point.
+func streamWorkload(dir Direction, cores, msgSize int) workload {
+	return func(opt Options, sys string, o *obs.Observer) (*obs.Profile, error) {
+		cfg := opt.config(sys, dir, cores, msgSize)
+		cfg.Obs = o
+		r, err := Run(cfg)
+		return r.Profile, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return profileTable(name, title, systems, profs), nil
 }
 
-// streamCyclePoints builds the profiled-run closures for one STREAM point.
-func streamCyclePoints(dir Direction, cores, msgSize int, opt Options) []cyclePoint {
-	pts := make([]cyclePoint, 0, len(opt.systems()))
-	for _, sys := range opt.systems() {
-		sys := sys
-		pts = append(pts, cyclePoint{system: sys, run: func() (*obs.Profile, error) {
-			cfg := opt.config(sys, dir, cores, msgSize)
-			cfg.Obs = obs.New(false)
-			r, err := Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return r.Profile, nil
-		}})
-	}
-	return pts
+// memcachedWorkload is Figure 11's 16 memcached instances.
+func memcachedWorkload(opt Options, sys string, o *obs.Observer) (*obs.Profile, error) {
+	_, p, err := runMemcached(sys, 16, opt.window(), o)
+	return p, err
 }
 
-// CycleReport profiles the paper's two contended receive points — 16-core
-// RX at MTU-sized (1500 B) messages (the Figure 6 collapse point) and at
-// 64 KiB messages (the Figure 8a breakdown point) — and reports where each
-// strategy's cycles go. This is the -cyclereport table: for strict and
-// identity+ the invalidate and lock/spin categories dominate the DMA-side
-// cost; for the copy strategy it is copy and copy-mgmt instead.
+// microWorkload is the DMA-API microbenchmark's MTU receive pattern.
+func microWorkload(_ Options, sys string, o *obs.Observer) (*obs.Profile, error) {
+	_, p, err := runMicro(sys, MicroPatterns[0], 2000, o)
+	return p, err
+}
+
+// cycleTables are the -cyclereport tables: a workload profiled once per
+// system.
+var cycleTables = []struct {
+	name, title string
+	systems     []string
+	run         workload
+}{
+	{"cycles-mtu", "Cycle attribution: 16-core TCP RX, 1500B messages (Figure 6 point)",
+		AllSystems, streamWorkload(RX, 16, 1500)},
+	{"cycles-64k", "Cycle attribution: 16-core TCP RX, 64KB messages (Figure 8a point)",
+		AllSystems, streamWorkload(RX, 16, 65536)},
+	{"cycles-rr", "Cycle attribution: single-core TCP RR, 64KB messages (Figure 10 point)",
+		AllSystems, streamWorkload(RR, 1, 65536)},
+	{"cycles-kv", "Cycle attribution: memcached, 16 instances (Figure 11 workload)",
+		FigureSystems, memcachedWorkload},
+	{"cycles-micro", "Cycle attribution: DMA API microbenchmark, " + MicroPatterns[0].Name + " pattern",
+		ExtendedSystems, microWorkload},
+}
+
+// CycleReport profiles the paper's contended points and reports where
+// each strategy's cycles go, one table per workload: 16-core RX at
+// MTU-sized (1500 B) messages (the Figure 6 collapse point) and at 64 KiB
+// (Figure 8a), single-core RR at 64 KiB (Figure 10), memcached at 16
+// instances (Figure 11) and the DMA-API microbenchmark's MTU receive
+// pattern. For strict and identity+ the invalidate and lock/spin
+// categories dominate the DMA-side cost; for the copy strategy it is copy
+// and copy-mgmt instead. Without an IOMMU, map and unmap are free, so
+// no-iommu's microbenchmark column has no busy cycles. Every profiled run
+// is one point on the options' farm.
 func CycleReport(opt Options) ([]*Table, error) {
-	if len(opt.Systems) == 0 {
-		opt.Systems = AllSystems
-	}
-	var out []*Table
-	for _, pt := range []struct {
-		name, title string
-		msg         int
-	}{
-		{"cycles-mtu", "Cycle attribution: 16-core TCP RX, 1500B messages (Figure 6 point)", 1500},
-		{"cycles-64k", "Cycle attribution: 16-core TCP RX, 64KB messages (Figure 8a point)", 65536},
-	} {
-		t, err := runCycleTable(pt.name, pt.title, streamCyclePoints(RX, 16, pt.msg, opt))
-		if err != nil {
-			return nil, err
+	type point struct{ table, system int }
+	var pts []point
+	for i, ct := range cycleTables {
+		for j := range ct.systems {
+			pts = append(pts, point{i, j})
 		}
-		out = append(out, t)
+	}
+	profs := make([]*obs.Profile, len(pts))
+	err := opt.farm().Map(len(pts), func(k int) error {
+		ct := cycleTables[pts[k].table]
+		sys := ct.systems[pts[k].system]
+		p, err := ct.run(opt, sys, obs.New(false))
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", ct.name, sys, err)
+		}
+		profs[k] = p
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Table, len(cycleTables))
+	for i, ct := range cycleTables {
+		out[i] = profileTable(ct.name, ct.title, ct.systems, profs[:len(ct.systems)])
+		profs = profs[len(ct.systems):]
 	}
 	return out, nil
-}
-
-// CycleReportRR profiles the latency workload (single-core TCP_RR, 64 KiB
-// messages — the Figure 10 point) for latbench's -cyclereport.
-func CycleReportRR(opt Options) (*Table, error) {
-	if len(opt.Systems) == 0 {
-		opt.Systems = AllSystems
-	}
-	return runCycleTable("cycles-rr",
-		"Cycle attribution: single-core TCP RR, 64KB messages (Figure 10 point)",
-		streamCyclePoints(RR, 1, 65536, opt))
-}
-
-// CycleReportKV profiles the memcached workload (Figure 11) for kvbench's
-// -cyclereport.
-func CycleReportKV(cores int, opt Options) (*Table, error) {
-	if len(opt.Systems) == 0 {
-		opt.Systems = FigureSystems
-	}
-	pts := make([]cyclePoint, 0, len(opt.systems()))
-	for _, sys := range opt.systems() {
-		sys := sys
-		pts = append(pts, cyclePoint{system: sys, run: func() (*obs.Profile, error) {
-			_, p, err := runMemcached(sys, cores, opt.window(), obs.New(false))
-			return p, err
-		}})
-	}
-	return runCycleTable("cycles-kv",
-		fmt.Sprintf("Cycle attribution: memcached, %d instances (Figure 11 workload)", cores), pts)
-}
-
-// CycleReportMicro profiles the DMA-API microbenchmark's MTU receive
-// pattern for apibench's -cyclereport: with no datapath around the
-// map/unmap pairs, the table is the paper's §4 cost argument in category
-// form.
-func CycleReportMicro(opt Options) (*Table, error) {
-	if len(opt.Systems) == 0 {
-		opt.Systems = AllSystems
-	}
-	pat := MicroPatterns[0] // "rx 1500B"
-	pts := make([]cyclePoint, 0, len(opt.systems()))
-	for _, sys := range opt.systems() {
-		sys := sys
-		pts = append(pts, cyclePoint{system: sys, run: func() (*obs.Profile, error) {
-			_, p, err := runMicro(sys, pat, 2000, obs.New(false))
-			return p, err
-		}})
-	}
-	return runCycleTable("cycles-micro",
-		"Cycle attribution: DMA API microbenchmark, "+pat.Name+" pattern", pts)
 }
 
 // TraceWindowMs bounds -tracefile runs: a couple of simulated milliseconds
@@ -235,22 +181,42 @@ func WriteTrace(cfg Config, path string) (Result, error) {
 	return res, o.WriteTraceFile(path)
 }
 
-// WriteTraceKV records the memcached workload's timeline.
-func WriteTraceKV(system string, cores int, path string) (KVResult, error) {
-	o := obs.New(true)
-	r, _, err := runMemcached(system, cores, TraceWindowMs, o)
-	if err != nil {
-		return r, err
-	}
-	return r, o.WriteTraceFile(path)
+// tracedMachines are the flagship machines -tracefile records, each with
+// the sections it stands for, in Suite order.
+var tracedMachines = []struct {
+	sections []string
+	system   string
+	run      workload
+}{
+	{[]string{"fig6"}, SysLinuxStrict, streamWorkload(RX, 16, 1500)},
+	{[]string{"fig9", "fig10"}, SysLinuxStrict, streamWorkload(RR, 1, 65536)},
+	{[]string{"fig11"}, SysLinuxStrict, memcachedWorkload},
+	{[]string{"memory", "memdetail"}, SysCopy, streamWorkload(RX, 16, 65536)},
+	{[]string{"apimicro"}, SysLinuxStrict, microWorkload},
 }
 
-// WriteTraceMicro records the DMA-API microbenchmark's timeline.
-func WriteTraceMicro(system string, path string) (MicroResult, error) {
-	o := obs.New(true)
-	r, _, err := runMicro(system, MicroPatterns[0], 2000, o)
-	if err != nil {
-		return r, err
+// WriteSelectionTrace records the flagship machine of the first selected
+// section, in Suite order, that has one, and writes its Chrome trace to
+// path: Figure 6's 16-core strict RX, the strict RR machine of Figures 9
+// and 10, strict memcached for Figure 11, the copy strategy's 16-core RX
+// for the memory sections, or the strict map/unmap loop for apimicro. A
+// selection with none of these (nil selects every section) records the
+// 16-core strict RX machine. The window is min(windowMs, TraceWindowMs).
+func WriteSelectionTrace(sections []string, windowMs float64, path string) error {
+	if windowMs <= 0 || windowMs > TraceWindowMs {
+		windowMs = TraceWindowMs
 	}
-	return r, o.WriteTraceFile(path)
+	selected := func(s string) bool { return sections == nil || slices.Contains(sections, s) }
+	m := tracedMachines[0]
+	for _, tm := range tracedMachines {
+		if slices.ContainsFunc(tm.sections, selected) {
+			m = tm
+			break
+		}
+	}
+	o := obs.New(true)
+	if _, err := m.run(Options{WindowMs: windowMs}, m.system, o); err != nil {
+		return err
+	}
+	return o.WriteTraceFile(path)
 }

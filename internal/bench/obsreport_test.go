@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -82,25 +83,87 @@ func TestCycleBreakdownOrdering(t *testing.T) {
 }
 
 // TestCycleReportTables exercises the -cyclereport table builder end to
-// end on a reduced system set.
+// end: five tables over their default system sets, every column at the
+// coverage floor except those with no busy cycles (no-iommu's
+// microbenchmark column: map and unmap are free without an IOMMU).
 func TestCycleReportTables(t *testing.T) {
-	opt := Options{WindowMs: 1, Systems: []string{SysLinuxStrict, SysCopy}}
-	tables, err := CycleReport(opt)
+	tables, err := CycleReport(Options{WindowMs: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 {
-		t.Fatalf("want 2 cycle tables, got %d", len(tables))
+	want := []struct {
+		name    string
+		systems int
+	}{
+		{"cycles-mtu", len(AllSystems)}, {"cycles-64k", len(AllSystems)},
+		{"cycles-rr", len(AllSystems)}, {"cycles-kv", len(FigureSystems)},
+		{"cycles-micro", len(ExtendedSystems)},
 	}
-	for _, tbl := range tables {
-		if len(tbl.Rows) < 3 || len(tbl.Series) != 2 {
-			t.Errorf("%s: degenerate table (%d rows, %d series)", tbl.Name, len(tbl.Rows), len(tbl.Series))
+	if len(tables) != len(want) {
+		t.Fatalf("want %d cycle tables, got %d", len(want), len(tables))
+	}
+	for i, tbl := range tables {
+		if tbl.Name != want[i].name || len(tbl.Series) != want[i].systems || len(tbl.Rows) < 3 {
+			t.Errorf("table %d: %s with %d rows, %d series; want %s with %d series",
+				i, tbl.Name, len(tbl.Rows), len(tbl.Series), want[i].name, want[i].systems)
 		}
 		for _, s := range tbl.Series {
 			m := s.Points[0].Metrics
+			if m["busy_mcycles"] == 0 {
+				continue
+			}
 			if m["coverage"] < 0.95 {
 				t.Errorf("%s/%s: coverage %.3f < 0.95", tbl.Name, s.System, m["coverage"])
 			}
+		}
+	}
+}
+
+// TestSelectionTraceFollowsExperiments checks which machine -tracefile
+// records, from the trace's core threads and top-level span names:
+// Figure 10 records the single-core RR server (which transmits), Figure
+// 11 the 16 memcached procs, and a selection with no traced machine of its
+// own (fig3) the 16-core strict RX machine.
+func TestSelectionTraceFollowsExperiments(t *testing.T) {
+	for _, tc := range []struct {
+		sections []string
+		threads  int
+		has, not string // top-level span names
+	}{
+		{[]string{"fig10", "fig3"}, 1, "tx", "kv"},
+		{[]string{"fig11"}, 16, "kv", "unmap"},
+		{[]string{"fig3"}, 16, "rx", "tx"},
+	} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		if err := WriteSelectionTrace(tc.sections, 0.5, path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Ph   string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatal(err)
+		}
+		threads := 0
+		spans := map[string]bool{}
+		for _, ev := range f.TraceEvents {
+			switch {
+			case ev.Ph == "M" && ev.Name == "thread_name":
+				threads++
+			case ev.Ph == "X":
+				spans[strings.SplitN(ev.Name, "/", 2)[0]] = true
+			}
+		}
+		if threads != tc.threads || !spans[tc.has] || spans[tc.not] {
+			t.Errorf("%v: %d core threads, spans %v; want %d threads, a %q span and no %q span",
+				tc.sections, threads, spans, tc.threads, tc.has, tc.not)
 		}
 	}
 }

@@ -7,6 +7,8 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cycles"
@@ -100,6 +102,9 @@ type Result struct {
 	Faults        uint64
 	IOTLBHitRate  float64
 	Invalidations uint64
+	// PoolBytesByClass is PoolBytes per shadow-pool size class (copy
+	// only; nil for the other strategies).
+	PoolBytesByClass []uint64
 	// Profile is the cycle-attribution snapshot (nil unless Config.Obs was
 	// set); TotalBusy is the workload procs' summed busy cycles.
 	Profile *obs.Profile
@@ -312,6 +317,10 @@ func runRR(mach *Machine, cfg Config) (Result, error) {
 	return res, nil
 }
 
+// MaxWindowMs is the longest window a run accepts: collect sums the busy
+// cycles of up to nic.MaxQueues cores into a uint64.
+const MaxWindowMs = math.MaxUint64 / (cycles.Hz / 1e3) / nic.MaxQueues
+
 // collect gathers CPU and component accounting from the worker procs.
 func collect(mach *Machine, cfg Config, procs []*sim.Proc, window uint64) Result {
 	res := Result{
@@ -335,6 +344,10 @@ func collect(mach *Machine, cfg Config, procs []*sim.Proc, window uint64) Result
 	res.Faults = mach.IOMMU.FaultCount
 	res.IOTLBHitRate = mach.IOMMU.TLB().HitRate()
 	res.Invalidations = mach.IOMMU.Queue.Submitted
+	sm, _ := mach.Mapper.(*core.ShadowMapper)
+	if sm != nil {
+		res.PoolBytesByClass = slices.Clone(sm.Pool().Stats().BytesByClass)
+	}
 	if o := mach.Obs; o != nil {
 		pr := o.Prof.Snapshot()
 		pr.TotalBusy = busy
@@ -344,7 +357,7 @@ func collect(mach *Machine, cfg Config, procs []*sim.Proc, window uint64) Result
 			obs.PublishIOMMU(o.Reg, mach.IOMMU)
 			obs.PublishNIC(o.Reg, mach.NIC)
 			obs.PublishMapper(o.Reg, cfg.System, res.MapperStats)
-			if sm, ok := mach.Mapper.(*core.ShadowMapper); ok {
+			if sm != nil {
 				obs.PublishPool(o.Reg, sm.Pool().Stats())
 			}
 		}

@@ -32,10 +32,12 @@ func Suite(includeSensitivity bool) []Section {
 		{"fig6", Fig6},
 		{"fig7", Fig7},
 		{"fig8a", func(o Options) (*Table, error) { t, _, err := Breakdown(RX, 16, o); return t, err }},
+		{"fig8b", func(o Options) (*Table, error) { t, _, err := Breakdown(TX, 16, o); return t, err }},
 		{"fig9", func(o Options) (*Table, error) { t, _, err := Fig9(o); return t, err }},
 		{"fig10", Fig10},
 		{"fig11", Fig11},
 		{"memory", MemoryConsumption},
+		{"memdetail", MemoryDetail},
 		{"apimicro", func(o Options) (*Table, error) {
 			// The microbenchmark covers the related-work systems too and
 			// is window-independent (fixed pair count).
@@ -145,8 +147,8 @@ func Artifact(tool string, windowMs float64, costs *cycles.Costs, tables []*Tabl
 	return a
 }
 
-// WriteArtifact stamps and writes tables as an artifact file — the shared
-// tail of every cmd/* tool's -json flag.
+// WriteArtifact stamps and writes tables as an artifact file (cmd/scalebench's
+// -json).
 func WriteArtifact(path, tool string, windowMs float64, costs *cycles.Costs, tables ...*Table) error {
 	a := Artifact(tool, windowMs, costs, tables)
 	a.CreatedAt = time.Now().UTC().Format(time.RFC3339)

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/report"
@@ -160,9 +162,44 @@ func TestSuiteCoversAllSections(t *testing.T) {
 			t.Errorf("section %q has no runner", s.Name)
 		}
 	}
-	for _, want := range []string{"fig1", "fig3", "fig9", "memory", "storage", "sensitivity"} {
+	for _, want := range []string{"fig1", "fig3", "fig8b", "fig9", "memory", "memdetail", "storage", "sensitivity"} {
 		if !seen[want] {
 			t.Errorf("suite is missing %q", want)
 		}
+	}
+}
+
+// TestMemoryDetailSumsToFootprint: memdetail's per-class MB add up to the
+// memory section's RX pool_mb, and it reads that point through the run
+// memo, so the two sections simulate only memory's RX and TX machines.
+func TestMemoryDetailSumsToFootprint(t *testing.T) {
+	farm := NewFarm(2)
+	defer farm.Close()
+	sections := []Section{{"memory", MemoryConsumption}, {"memdetail", MemoryDetail}}
+	tables, err := RunSuite(sections, Options{WindowMs: 0.5, Farm: farm}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var poolMB, classMB, totalMB float64
+	for _, p := range tables[0].Series[0].Points {
+		if p.Label == "16-core RX 64KB" {
+			poolMB = p.Metrics["pool_mb"]
+		}
+	}
+	classes := 0
+	for _, p := range tables[1].Series[0].Points {
+		if strings.HasPrefix(p.Label, "class ") {
+			classMB += p.Metrics["mb"]
+			classes++
+		} else {
+			totalMB = p.Metrics["mb"]
+		}
+	}
+	if poolMB == 0 || classes == 0 || math.Abs(classMB-poolMB) > 1e-9*poolMB || totalMB != poolMB {
+		t.Errorf("memdetail: %d classes sum to %v MB (total %v), memory RX pool_mb %v",
+			classes, classMB, totalMB, poolMB)
+	}
+	if n := farm.Stats().Executed; n != 2 {
+		t.Errorf("memory+memdetail simulated %d points, want 2", n)
 	}
 }

@@ -1,9 +1,7 @@
 package cycles
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -144,45 +142,5 @@ func TestCopyUserZeroAndNegative(t *testing.T) {
 	}
 	if c.Memcpy(0) != 0 || c.Memcpy(-1) != 0 {
 		t.Error("Memcpy of non-positive length should be free")
-	}
-}
-
-func TestJSONRoundTripAndOverlay(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Default().SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c, err := LoadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *c != *Default() {
-		t.Error("round trip changed the model")
-	}
-	// Partial overlay: only one knob set; the rest stay default.
-	c2, err := LoadJSON(strings.NewReader(`{"IOTLBInvalidateHW": 9999}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.IOTLBInvalidateHW != 9999 {
-		t.Error("overlay ignored")
-	}
-	if c2.MemcpyPerByte != Default().MemcpyPerByte {
-		t.Error("overlay clobbered defaults")
-	}
-}
-
-func TestJSONRejectsBadModels(t *testing.T) {
-	cases := []string{
-		`{"NoSuchKnob": 1}`,
-		`{"WireGbps": 0}`,
-		`{"NUMARemoteFactorPct": 50}`,
-		`{"RemoteSyscallsPerSec": 0}`,
-		`not json`,
-	}
-	for _, c := range cases {
-		if _, err := LoadJSON(strings.NewReader(c)); err == nil {
-			t.Errorf("should reject %q", c)
-		}
 	}
 }

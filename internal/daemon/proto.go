@@ -24,6 +24,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/campaign"
 	"repro/internal/chaos"
+	"repro/internal/nic"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/tenant"
@@ -140,13 +141,20 @@ func (s RunSpec) Normalize() (RunSpec, error) {
 	var err error
 	switch s.Tool {
 	case "reproduce":
-		n.WindowMs = defFloat(s.WindowMs, 10)
 		n.SkipSensitivity = s.SkipSensitivity
-		n.Experiments, err = canonExperiments(s.Experiments)
+		if n.WindowMs, err = canonWindow(s.WindowMs, 10); err == nil {
+			n.Experiments, err = canonExperiments(s.Experiments)
+		}
 	case "chaosbench":
 		n.Seed = defInt64(s.Seed, 1)
-		n.WindowMs = defFloat(s.WindowMs, 2)
-		n.Cores = defInt(s.Cores, 2)
+		if n.WindowMs, err = canonWindow(s.WindowMs, 2); err != nil {
+			break
+		}
+		// One NIC queue per victim core.
+		if n.Cores = defInt(s.Cores, 2); n.Cores > nic.MaxQueues {
+			err = fmt.Errorf("bad cores %d (want at most %d)", n.Cores, nic.MaxQueues)
+			break
+		}
 		n.System = defStr(s.System, "strict")
 		if !bench.IsSystem(n.System) {
 			err = fmt.Errorf("unknown system %q (have: %s)", n.System, strings.Join(bench.ExtendedSystems, ","))
@@ -167,8 +175,8 @@ func (s RunSpec) Normalize() (RunSpec, error) {
 			break
 		}
 		// Every sweep point mounts a hostile tenant beside its victims.
-		if n.Tenants, err = canonInts("tenant count", s.Tenants, 2); err == nil {
-			n.Frames, err = canonInts("frame size", s.Frames, 1)
+		if n.Tenants, err = canonInts("tenant count", s.Tenants, 2, tenant.MaxTenants); err == nil {
+			n.Frames, err = canonInts("frame size", s.Frames, tenant.MinFrameSize, tenant.MaxFrameSize)
 		}
 	default:
 		err = fmt.Errorf("unknown tool %q (have %s)", s.Tool, strings.Join(Tools, ","))
@@ -182,11 +190,16 @@ func (s RunSpec) SupportsPreview() bool {
 	return s.Tool == "reproduce" || s.Tool == "chaosbench"
 }
 
-func defFloat(v, d float64) float64 {
-	if v <= 0 {
-		return d
+// canonWindow validates a simulated window in ms; 0 means the default d.
+// NaN, infinities and windows past bench.MaxWindowMs are rejected.
+func canonWindow(v, d float64) (float64, error) {
+	if v == 0 {
+		return d, nil
 	}
-	return v
+	if !(v > 0 && v <= bench.MaxWindowMs) {
+		return 0, fmt.Errorf("bad window %v ms (want 0 < window <= %g)", v, bench.MaxWindowMs)
+	}
+	return v, nil
 }
 
 func defInt64(v, d int64) int64 {
@@ -287,19 +300,22 @@ func scenarioNames() []string {
 	return out
 }
 
-// canonInts canonicalizes a comma list of integers, each at least min.
-func canonInts(kind, s string, min int) (string, error) {
+// canonInts canonicalizes a comma list of integers, each in [lo, hi]:
+// decimal, deduped by value, first occurrence kept.
+func canonInts(kind, s string, lo, hi int) (string, error) {
 	c := canonList(s)
 	if c == "all" {
 		return c, nil
 	}
-	parts := strings.Split(c, ",")
-	for i, p := range parts {
+	var out []string
+	for _, p := range strings.Split(c, ",") {
 		v, err := strconv.Atoi(p)
-		if err != nil || v < min {
-			return "", fmt.Errorf("bad %s %q (want an integer >= %d)", kind, p, min)
+		if err != nil || v < lo || v > hi {
+			return "", fmt.Errorf("bad %s %q (want an integer in [%d, %d])", kind, p, lo, hi)
 		}
-		parts[i] = strconv.Itoa(v)
+		if p = strconv.Itoa(v); !slices.Contains(out, p) {
+			out = append(out, p)
+		}
 	}
-	return strings.Join(parts, ","), nil
+	return strings.Join(out, ","), nil
 }

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,8 @@ func TestNormalizeIsIdempotent(t *testing.T) {
 		{Tool: "chaosbench", Scenarios: "poolsqueeze,faultstorm"},
 		{Tool: "attackbench", Payloads: "stale-read", Systems: " copy,strict"},
 		{Tool: "tenantbench", Tenants: "016,2", Frames: "128"},
+		// A FuzzRequest finding: "7,007" became "7,7", then "7".
+		{Tool: "tenantbench", Tenants: "16,016,2", Frames: "7,007,+7"},
 	} {
 		n, err := s.Normalize()
 		if err != nil {
@@ -48,6 +52,73 @@ func TestNormalizeUnknownExperimentListsKnownNames(t *testing.T) {
 	for _, want := range []string{"unknown experiment(s) bogus,fig99", "(have: table1,fig1,", "sensitivity"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+}
+
+// TestNormalizeRejectsUnrunnableNumbers: every number Normalize accepts
+// is one the model can run.
+func TestNormalizeRejectsUnrunnableNumbers(t *testing.T) {
+	for _, s := range []RunSpec{
+		{Tool: "reproduce", WindowMs: math.NaN()},
+		{Tool: "reproduce", WindowMs: math.Inf(1)},
+		{Tool: "reproduce", WindowMs: -1},
+		{Tool: "reproduce", WindowMs: 1e12},
+		{Tool: "chaosbench", WindowMs: math.NaN()},
+		{Tool: "chaosbench", Cores: 1 << 30},
+		{Tool: "chaosbench", Cores: 225},
+		{Tool: "tenantbench", Tenants: "1000000000"},
+		{Tool: "tenantbench", Tenants: "32769"},
+		{Tool: "tenantbench", Frames: "1000000000"},
+		{Tool: "tenantbench", Frames: "65536"},
+		{Tool: "tenantbench", Frames: "1"}, // shorter than the length header
+	} {
+		if n, err := s.Normalize(); err == nil {
+			t.Errorf("Normalize(%+v) = %+v, want an error", s, n)
+		}
+	}
+	for _, s := range []RunSpec{
+		{Tool: "reproduce", WindowMs: 1e10},
+		{Tool: "chaosbench", Cores: 224},
+		{Tool: "tenantbench", Tenants: "32768", Frames: "2,65535"},
+	} {
+		if _, err := s.Normalize(); err != nil {
+			t.Errorf("Normalize(%+v): %v", s, err)
+		}
+	}
+}
+
+// TestNormalizeKeepsGateSpecs pins the normalized bytes of the specs the
+// CI gates, daemon-smoke and the benchmark send: their store keys must
+// not move.
+func TestNormalizeKeepsGateSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		spec RunSpec
+		want string
+	}{
+		{RunSpec{Tool: "reproduce", WindowMs: 1, SkipSensitivity: true, Experiments: "all"},
+			`{"tool":"reproduce","window_ms":1,"skip_sensitivity":true,"experiments":"all"}`},
+		{RunSpec{Tool: "reproduce", WindowMs: 2, SkipSensitivity: true, Experiments: "fig1ext"},
+			`{"tool":"reproduce","window_ms":2,"skip_sensitivity":true,"experiments":"fig1ext"}`},
+		{RunSpec{Tool: "attackbench", Seed: 1},
+			`{"tool":"attackbench","seed":1,"payloads":"all","systems":"all"}`},
+		{RunSpec{Tool: "tenantbench", Seed: 1},
+			`{"tool":"tenantbench","seed":1,"schemes":"all","attacks":"all","tenants":"all","frames":"all"}`},
+		{RunSpec{Tool: "chaosbench", Seed: 1},
+			`{"tool":"chaosbench","seed":1,"window_ms":2,"cores":2,"system":"strict","scenarios":"all"}`},
+		{RunSpec{Tool: "chaosbench", Seed: 7, WindowMs: 4},
+			`{"tool":"chaosbench","seed":7,"window_ms":4,"cores":2,"system":"strict","scenarios":"all"}`},
+	} {
+		n, err := tc.spec.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("Normalize(%+v) = %s, want %s", tc.spec, got, tc.want)
 		}
 	}
 }

@@ -134,7 +134,15 @@ func New(eng *sim.Engine, u *iommu.IOMMU, cfg Config) *NIC {
 }
 
 // msiVector is queue i's granted interrupt vector.
-func msiVector(q int) uint32 { return 32 + uint32(q) }
+func msiVector(q int) uint32 { return msiVectorBase + uint32(q) }
+
+// msiVectorBase is queue 0's interrupt vector.
+const msiVectorBase = 32
+
+// MaxQueues is the most queue pairs a NIC can signal: queue q raises
+// vector 32+q, and a doorbell write carries its vector in one byte, so
+// queues past it could never interrupt (iommu.GrantMSI).
+const MaxQueues = 0x100 - msiVectorBase
 
 // Queue returns queue pair i.
 func (n *NIC) Queue(i int) *Queue { return n.queues[i] }

@@ -1,6 +1,6 @@
-// Package prof is the shared -cpuprofile/-memprofile plumbing of the cmd/*
-// tools: a one-call wrapper over runtime/pprof so every binary exposes the
-// same profiling workflow (see "Performance & profiling" in README.md).
+// Package prof is the -cpuprofile/-memprofile plumbing of cmd/reproduce:
+// a one-call wrapper over runtime/pprof (see "Performance & profiling" in
+// README.md).
 package prof
 
 import (

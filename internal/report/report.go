@@ -27,7 +27,7 @@ const SchemaVersion = 1
 type Artifact struct {
 	// Schema is the artifact format version (SchemaVersion).
 	Schema int `json:"schema"`
-	// Tool is the producing command ("reproduce", "netbench", ...).
+	// Tool is the producing command ("reproduce", "attackbench", ...).
 	Tool string `json:"tool"`
 	// CreatedAt is an RFC3339 wall-clock stamp. Informational only:
 	// benchdiff never compares it.

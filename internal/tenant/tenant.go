@@ -94,6 +94,13 @@ const (
 	// shadowWinBase maps the per-tenant shadow rings (trusted memory,
 	// permanent grants) clear of the capability windows.
 	shadowWinBase = iommu.IOVA(0x20_0000_0000)
+	// MaxTenants is the most tenants one machine holds: tenant
+	// MaxTenants's capability window would start on the shadow rings.
+	MaxTenants = int((uint64(shadowWinBase) - uint64(capWinBase)) / capWinStride)
+	// MinFrameSize and MaxFrameSize bound a frame: it carries the wire
+	// format's 2-byte length header, which describes at most 0xFFFF bytes.
+	MinFrameSize = 2
+	MaxFrameSize = 0xFFFF
 
 	// Userspace per-frame datapath costs. These are tenant-model
 	// constants rather than cycles.Costs fields (the cost-model
@@ -124,7 +131,8 @@ type Config struct {
 	FrameSize int
 	// RingSize is the per-tenant descriptor ring depth (default 8).
 	RingSize int
-	// BufSize is the per-RX-buffer size (default 2048).
+	// BufSize is the per-RX-buffer size (default 2048, or FrameSize when
+	// larger, so a frame is never truncated).
 	BufSize int
 	// DatapathCores is the number of trusted datapath procs that poll
 	// completions, run tenant consume/repost, and (shadow-copy) copy
@@ -162,7 +170,7 @@ func (c *Config) normalize() error {
 		c.RingSize = 8
 	}
 	if c.BufSize < c.FrameSize {
-		c.BufSize = 2048
+		c.BufSize = max(2048, c.FrameSize)
 	}
 	if c.DatapathCores <= 0 {
 		c.DatapathCores = 2

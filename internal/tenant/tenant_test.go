@@ -163,3 +163,27 @@ func TestAdjacency(t *testing.T) {
 		}
 	}
 }
+
+// TestFramesLargerThanDefaultBufferAreWhole: a benign frame delivers all
+// FrameSize bytes under every scheme, including frames larger than the
+// 2048-byte default receive buffer.
+func TestFramesLargerThanDefaultBufferAreWhole(t *testing.T) {
+	for _, scheme := range Schemes() {
+		for _, frame := range []int{1500, 4096, MaxFrameSize} {
+			m, err := NewMachine(Config{Scheme: scheme, Tenants: 4, WindowMs: 0.2, FrameSize: frame})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Run()
+			var frames, bytes uint64
+			for _, tn := range m.benign {
+				frames += tn.Stats.Frames
+				bytes += tn.Stats.Bytes
+			}
+			if frames == 0 || bytes != frames*uint64(frame) {
+				t.Errorf("%s/%dB: %d frames delivered %d bytes, want %d per frame",
+					scheme, frame, frames, bytes, frame)
+			}
+		}
+	}
+}
