@@ -133,8 +133,9 @@ profile:
 # model page table and mem access vs. a model byte store (both seeded
 # from dmafuzz-generated corpora), the page-indexed table vs. a Go map,
 # the shadow pool's IOVA metadata decoder, the KV server's request
-# decoder, and the daemon's request decoder plus RunSpec.Normalize. Short
-# budgets — this is a smoke pass; raise -fuzztime for a longer campaign.
+# decoder, the daemon's request decoder plus RunSpec.Normalize, and the
+# result store's entry reader. Short budgets — this is a smoke pass;
+# raise -fuzztime for a longer campaign.
 fuzz:
 	$(GO) test ./internal/iommu/ -run '^$$' -fuzz '^FuzzTranslate$$' -fuzztime 10s
 	$(GO) test ./internal/mem/ -run '^$$' -fuzz '^FuzzAccess$$' -fuzztime 10s
@@ -142,6 +143,7 @@ fuzz:
 	$(GO) test ./internal/shadow/ -run '^$$' -fuzz '^FuzzIOVADecode$$' -fuzztime 10s
 	$(GO) test ./internal/kv/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s
 	$(GO) test ./internal/daemon/ -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzStoreGet$$' -fuzztime 10s
 
 # The security oracle's line for a stale-IOVA write on a backend with no
 # declared window: the canaries below must print it, so a dmafuzz that

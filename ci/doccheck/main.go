@@ -1,13 +1,15 @@
 // Command doccheck is the `make doc-check` gate: it keeps the repository's
-// documentation from rotting by verifying three invariants that are cheap
+// documentation from rotting by verifying four invariants that are cheap
 // to break silently —
 //
 //  1. every relative link in the markdown files resolves to a file or
 //     directory that actually exists (anchors after '#' are ignored),
 //  2. every `go run ./cmd/<name>` in the markdown names a command
-//     directory that exists, and
+//     directory that exists,
 //  3. every internal/ package carries a package comment in a non-test file,
-//     so `go doc repro/internal/<pkg>` always says something.
+//     so `go doc repro/internal/<pkg>` always says something, and
+//  4. the layer diagram in ARCHITECTURE.md names every internal/ package
+//     and no package that does not exist.
 //
 // It prints one line per violation and exits 1 if there are any.
 package main
@@ -32,6 +34,9 @@ var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
 // as ./cmd/<tool> do not match.
 var goRunCmd = regexp.MustCompile(`go run \./cmd/([A-Za-z0-9_-]+)`)
 
+// diagramPkg matches a package named in the layer diagram.
+var diagramPkg = regexp.MustCompile(`internal/([A-Za-z0-9_]+)`)
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -41,11 +46,12 @@ func main() {
 	bad += checkLinks(root)
 	bad += checkCommands(root)
 	bad += checkPackageComments(root)
+	bad += checkDiagram(root)
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doc-check: %d problem(s)\n", bad)
 		os.Exit(1)
 	}
-	fmt.Println("doc-check: all markdown links and commands resolve; all internal packages documented")
+	fmt.Println("doc-check: all markdown links and commands resolve; all internal packages documented and in the layer diagram")
 }
 
 // walkMarkdown calls check with every .md file under root and its
@@ -158,6 +164,49 @@ func checkPackageComments(root string) int {
 			bad++
 		} else if !documented {
 			fmt.Fprintf(os.Stderr, "%s: missing package comment\n", dir)
+			bad++
+		}
+	}
+	return bad
+}
+
+// checkDiagram compares the packages named in ARCHITECTURE.md's layer
+// diagram (the first code block after its "## Layer diagram" heading)
+// with the directories under internal/: each side must cover the other.
+func checkDiagram(root string) int {
+	path := filepath.Join(root, "ARCHITECTURE.md")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doc-check: %v\n", err)
+		return 1
+	}
+	_, after, _ := strings.Cut(string(data), "## Layer diagram")
+	_, block, ok := strings.Cut(after, "```")
+	block, _, closed := strings.Cut(block, "```")
+	if !ok || !closed {
+		fmt.Fprintf(os.Stderr, "%s: no layer diagram (a code block after \"## Layer diagram\")\n", path)
+		return 1
+	}
+	named := map[string]bool{}
+	bad := 0
+	for _, m := range diagramPkg.FindAllStringSubmatch(block, -1) {
+		if named[m[1]] {
+			continue
+		}
+		named[m[1]] = true
+		if fi, err := os.Stat(filepath.Join(root, "internal", m[1])); err != nil || !fi.IsDir() {
+			fmt.Fprintf(os.Stderr, "%s: layer diagram names internal/%s, which does not exist\n", path, m[1])
+			bad++
+		}
+	}
+	dirs, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doc-check: %v\n", err)
+		return bad + 1
+	}
+	for _, d := range dirs {
+		if d.IsDir() && !named[d.Name()] {
+			fmt.Fprintf(os.Stderr, "%s: layer diagram omits internal/%s\n", path, d.Name())
 			bad++
 		}
 	}

@@ -59,7 +59,32 @@ func TestCheckPackageComments(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs both checks against the actual repository, the
+func TestCheckDiagram(t *testing.T) {
+	root := t.TempDir()
+	write(t, filepath.Join(root, "internal", "sim", "sim.go"), "package sim\n")
+	write(t, filepath.Join(root, "internal", "iommu", "iommu.go"), "package iommu\n")
+	arch := func(diagram string) {
+		write(t, filepath.Join(root, "ARCHITECTURE.md"),
+			"# A\n\nSee internal/gone below the diagram.\n\n## Layer diagram\n\n```\n"+
+				diagram+"\n```\n\nProse may name internal/elsewhere.\n")
+	}
+	arch("internal/iommu\ninternal/sim")
+	if bad := checkDiagram(root); bad != 0 {
+		t.Fatalf("clean tree: %d violations, want 0", bad)
+	}
+	// A deleted package left in the diagram, and a new one left out.
+	arch("internal/iommu\ninternal/sim  internal/trace")
+	write(t, filepath.Join(root, "internal", "obs", "obs.go"), "package obs\n")
+	if bad := checkDiagram(root); bad != 2 {
+		t.Fatalf("stale diagram: %d violations, want 2", bad)
+	}
+	write(t, filepath.Join(root, "ARCHITECTURE.md"), "# A\n\nNo diagram here.\n")
+	if bad := checkDiagram(root); bad != 1 {
+		t.Fatalf("missing diagram: %d violations, want 1", bad)
+	}
+}
+
+// TestRepoIsClean runs every check against the actual repository, the
 // same invocation `make doc-check` performs.
 func TestRepoIsClean(t *testing.T) {
 	root := "../.."
@@ -71,5 +96,8 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if bad := checkPackageComments(root); bad != 0 {
 		t.Errorf("repo package comments: %d missing", bad)
+	}
+	if bad := checkDiagram(root); bad != 0 {
+		t.Errorf("repo layer diagram: %d packages out of sync with internal/", bad)
 	}
 }

@@ -19,7 +19,8 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/campaign"
-	"repro/internal/trace"
+	"repro/internal/cycles"
+	"repro/internal/iommu"
 )
 
 type options struct {
@@ -127,12 +128,18 @@ func main() {
 // the attacker's writes slipping through, and the batched invalidation.
 func dumpAttackTrace(stdout io.Writer) error {
 	fmt.Fprintln(stdout, "IOMMU event trace of the deferred-window attack (system: defer):")
-	tr := trace.New(64)
-	results, _, err := campaign.RunTable1(bench.SysLinuxDefer, tr)
+	results, _, err := campaign.RunTable1(bench.SysLinuxDefer, func(e iommu.Event) {
+		fmt.Fprintln(stdout, traceLine(e))
+	})
 	if err != nil {
 		return err
 	}
-	tr.Dump(stdout)
 	fmt.Fprintf(stdout, "(attack outcome: post-unmap write landed = %v)\n\n", results[1].Success)
 	return nil
+}
+
+// traceLine renders one IOMMU event as a trace line: its virtual time in
+// microseconds at the simulation clock, its category and its detail.
+func traceLine(e iommu.Event) string {
+	return fmt.Sprintf("%12.3fus %-6s %s", cycles.Micros(e.At), e.Kind.Category(), e)
 }

@@ -44,7 +44,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/daemon"
-	"repro/internal/prof"
 	"repro/internal/report"
 )
 
@@ -85,7 +84,7 @@ func main() {
 		return
 	}
 
-	stop, err := prof.Start(*cpuProfile, *memProfile)
+	stop, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
 	}

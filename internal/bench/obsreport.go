@@ -165,22 +165,6 @@ func CycleReport(opt Options) ([]*Table, error) {
 // thousands of packets.
 const TraceWindowMs = 2
 
-// WriteTrace runs one configuration with timeline recording enabled and
-// writes the Chrome trace-event JSON (Perfetto-loadable) to path. The
-// window is clamped to TraceWindowMs.
-func WriteTrace(cfg Config, path string) (Result, error) {
-	if cfg.WindowMs <= 0 || cfg.WindowMs > TraceWindowMs {
-		cfg.WindowMs = TraceWindowMs
-	}
-	o := obs.New(true)
-	cfg.Obs = o
-	res, err := Run(cfg)
-	if err != nil {
-		return res, err
-	}
-	return res, o.WriteTraceFile(path)
-}
-
 // tracedMachines are the flagship machines -tracefile records, each with
 // the sections it stands for, in Suite order.
 var tracedMachines = []struct {

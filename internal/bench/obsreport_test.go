@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,12 +172,10 @@ func TestSelectionTraceFollowsExperiments(t *testing.T) {
 // TestWriteTraceChromeSchema validates the -tracefile output end to end:
 // the produced file must be Chrome trace-event JSON that Perfetto accepts —
 // an object with a traceEvents array whose entries carry the phase-specific
-// required fields.
+// required fields, IOMMU events with their typed args.
 func TestWriteTraceChromeSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
-	cfg := DefaultConfig(SysLinuxStrict, RX, 2, 1500)
-	cfg.WindowMs = 1
-	if _, err := WriteTrace(cfg, path); err != nil {
+	if err := WriteSelectionTrace([]string{"apimicro"}, 1, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -221,6 +220,15 @@ func TestWriteTraceChromeSchema(t *testing.T) {
 			}
 			if c, _ := ev["cat"].(string); c == "iommu" {
 				iommuEvents++
+				args, _ := ev["args"].(map[string]interface{})
+				for _, k := range []string{"dev", "iova", "phys", "size"} {
+					if _, ok := args[k].(float64); !ok {
+						t.Fatalf("event %d missing numeric %s arg: %v", i, k, ev)
+					}
+				}
+				if m, _ := args["msg"].(string); m == "" {
+					t.Fatalf("event %d missing msg arg: %v", i, ev)
+				}
 			}
 		case "M":
 			if name == "thread_name" {
@@ -237,7 +245,7 @@ func TestWriteTraceChromeSchema(t *testing.T) {
 		t.Error("no thread_name metadata (core tracks unnamed)")
 	}
 	if iommuEvents == 0 {
-		t.Error("no IOMMU ring events exported (strict RX must invalidate)")
+		t.Error("no IOMMU events exported (the strict micro loop maps, unmaps and invalidates)")
 	}
 }
 
@@ -252,5 +260,67 @@ func TestProfileAbsentByDefault(t *testing.T) {
 	}
 	if r.Profile != nil {
 		t.Error("Profile set without an observer")
+	}
+}
+
+// TestObservingNeverChangesResults: spans never charge cycles and the
+// IOMMU's event hook only reads, so a run with a profiler and a timeline
+// recorder installed produces exactly the results of the same run
+// without them. Every design at the Figure 6 point, plus strict RR,
+// deferred TX, strict memcached and the strict DMA-API micro loop.
+func TestObservingNeverChangesResults(t *testing.T) {
+	type outcome struct {
+		res  any
+		prof *obs.Profile
+	}
+	type point struct {
+		name string
+		run  func(o *obs.Observer) (outcome, error)
+	}
+	stream := func(sys string, dir Direction, cores, msg int) func(o *obs.Observer) (outcome, error) {
+		return func(o *obs.Observer) (outcome, error) {
+			cfg := DefaultConfig(sys, dir, cores, msg)
+			cfg.WindowMs = 1
+			cfg.Obs = o
+			r, err := Run(cfg)
+			prof := r.Profile
+			r.Profile, r.Config.Obs = nil, nil
+			return outcome{r, prof}, err
+		}
+	}
+	var pts []point
+	for _, d := range Designs {
+		pts = append(pts, point{d.Name + "/rx-16x1500", stream(d.Name, RX, 16, 1500)})
+	}
+	pts = append(pts,
+		point{"strict/rr-1x64k", stream(SysLinuxStrict, RR, 1, 65536)},
+		point{"defer/tx-4x64k", stream(SysLinuxDefer, TX, 4, 65536)},
+		point{"strict/memcached", func(o *obs.Observer) (outcome, error) {
+			r, p, err := runMemcached(SysLinuxStrict, 16, 1, o)
+			return outcome{r, p}, err
+		}},
+		point{"strict/micro", func(o *obs.Observer) (outcome, error) {
+			r, p, err := runMicro(SysLinuxStrict, MicroPatterns[0], 2000, o)
+			return outcome{r, p}, err
+		}})
+	for _, pt := range pts {
+		pt := pt
+		t.Run(pt.name, func(t *testing.T) {
+			t.Parallel()
+			plain, err := pt.run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			observed, err := pt.run(obs.New(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if observed.prof == nil || len(observed.prof.Spans) == 0 {
+				t.Fatal("the observed run recorded no spans")
+			}
+			if !reflect.DeepEqual(plain.res, observed.res) {
+				t.Errorf("observing changed the result:\nplain    %+v\nobserved %+v", plain.res, observed.res)
+			}
+		})
 	}
 }

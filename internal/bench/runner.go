@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Direction selects the workload.
@@ -143,8 +142,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		// Must precede every Spawn: procs copy the span sink at creation.
 		eng.SetObserver(cfg.Obs)
 		if cfg.Obs.Rec != nil {
-			u.Trace = trace.New(1 << 16)
-			cfg.Obs.Ring = u.Trace
+			u.OnEvent = cfg.Obs.Rec.IOMMUEvent
 		}
 	}
 	env := &dmaapi.Env{Eng: eng, Mem: m, IOMMU: u, Costs: cfg.Costs, Dev: 1, Cores: cfg.Cores}
@@ -352,15 +350,6 @@ func collect(mach *Machine, cfg Config, procs []*sim.Proc, window uint64) Result
 		pr := o.Prof.Snapshot()
 		pr.TotalBusy = busy
 		res.Profile = &pr
-		if o.Reg != nil {
-			obs.PublishEngine(o.Reg, mach.Eng)
-			obs.PublishIOMMU(o.Reg, mach.IOMMU)
-			obs.PublishNIC(o.Reg, mach.NIC)
-			obs.PublishMapper(o.Reg, cfg.System, res.MapperStats)
-			if sm != nil {
-				obs.PublishPool(o.Reg, sm.Pool().Stats())
-			}
-		}
 	}
 	return res
 }

@@ -3,9 +3,9 @@ package campaign
 import (
 	"repro/internal/bench"
 	"repro/internal/cycles"
+	"repro/internal/iommu"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // table1Payloads are the paper's three Table 1 attacks, in the order
@@ -18,8 +18,9 @@ var table1Payloads = []string{"subpage-harvest", "replay-window", "arbitrary-sca
 // running system, and returns their results in table1Payloads order
 // together with the IOMMU's fault count. The replay-window result
 // carries "closed_after_flush": whether draining deferred invalidations
-// closes the window. A non-nil tr records the machine's IOMMU events.
-func RunTable1(system string, tr *trace.Tracer) ([]Result, uint64, error) {
+// closes the window. A non-nil onEvent receives the machine's IOMMU
+// events.
+func RunTable1(system string, onEvent func(iommu.Event)) ([]Result, uint64, error) {
 	pls := make([]Payload, len(table1Payloads))
 	for i, name := range table1Payloads {
 		var err error
@@ -27,18 +28,18 @@ func RunTable1(system string, tr *trace.Tracer) ([]Result, uint64, error) {
 			return nil, 0, err
 		}
 	}
-	return mount(system, tr, CellWindowMs, pls)
+	return mount(system, onEvent, CellWindowMs, pls)
 }
 
 // mount executes pls back to back on one fresh target running system
 // for windowMs of simulated time, and returns their results and the
 // IOMMU's fault count.
-func mount(system string, tr *trace.Tracer, windowMs float64, pls []Payload) ([]Result, uint64, error) {
+func mount(system string, onEvent func(iommu.Event), windowMs float64, pls []Payload) ([]Result, uint64, error) {
 	t, err := NewTarget(system, 1)
 	if err != nil {
 		return nil, 0, err
 	}
-	t.Mach.IOMMU.Trace = tr
+	t.Mach.IOMMU.OnEvent = onEvent
 	results := make([]Result, len(pls))
 	var runErr error
 	t.Mach.Eng.Spawn("victim", 0, 0, func(p *sim.Proc) {

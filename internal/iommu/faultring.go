@@ -1,9 +1,5 @@
 package iommu
 
-import (
-	"repro/internal/trace"
-)
-
 // Fault recording ring and device quarantine: the recovery-side face of the
 // IOMMU. Real VT-d hardware logs blocked DMAs into a small bank of fault
 // recording registers; when software does not drain them fast enough the
@@ -113,7 +109,9 @@ func (u *IOMMU) Block(dev DeviceID) {
 		u.blockedDevs++
 	}
 	u.tlb.InvalidateDevice(dev)
-	u.Trace.Emit(u.eng.Now(), trace.CatFault, "dev %d blocked (quarantine)", dev)
+	if u.OnEvent != nil {
+		u.emit(Event{Kind: EventBlock, Dev: dev})
+	}
 }
 
 // Unblock lifts a device's quarantine (readmission after cool-down).
@@ -122,7 +120,9 @@ func (u *IOMMU) Unblock(dev DeviceID) {
 		d.blocked = false
 		u.blockedDevs--
 	}
-	u.Trace.Emit(u.eng.Now(), trace.CatFault, "dev %d unblocked (readmitted)", dev)
+	if u.OnEvent != nil {
+		u.emit(Event{Kind: EventUnblock, Dev: dev})
+	}
 }
 
 // Blocked reports whether the device is quarantined.
@@ -141,7 +141,9 @@ func (u *IOMMU) Blocked(dev DeviceID) bool {
 func (u *IOMMU) DetachDevice(dev DeviceID) uint64 {
 	u.record(dev).passthrough = false
 	n := u.WipeDomain(dev)
-	u.Trace.Emit(u.eng.Now(), trace.CatUnmap, "dev %d detached (hot-unplug)", dev)
+	if u.OnEvent != nil {
+		u.emit(Event{Kind: EventDetach, Dev: dev})
+	}
 	return n
 }
 
@@ -161,6 +163,8 @@ func (u *IOMMU) WipeDomain(dev DeviceID) uint64 {
 	d.mappedPages = 0
 	d.wipeDebt += n
 	u.tlb.InvalidateDevice(dev)
-	u.Trace.Emit(u.eng.Now(), trace.CatUnmap, "dev %d domain wiped (%d pages)", dev, n)
+	if u.OnEvent != nil {
+		u.emit(Event{Kind: EventWipe, Dev: dev, Arg: n})
+	}
 	return n
 }

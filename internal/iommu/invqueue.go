@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ErrInvTimeout is the invalidation-time-out error (the VT-d ITE fault):
@@ -81,8 +80,8 @@ func (q *InvQueue) submit(p *sim.Proc, effect func()) uint64 {
 	done := start + q.costs.IOTLBInvalidateHW + q.StallCycles
 	q.hwFreeAt = done
 	q.Submitted++
-	if q.u.Trace.Enabled() {
-		q.u.Trace.Emit(p.Now(), trace.CatInval, "submitted, hw completes at %d", done)
+	if q.u.OnEvent != nil {
+		q.u.emit(Event{Kind: EventInval, Arg: done})
 	}
 	q.eng.Schedule(done, func(uint64) {
 		effect()
@@ -131,8 +130,8 @@ func (q *InvQueue) WaitForErr(p *sim.Proc, t uint64) error {
 	}
 	q.WaitFor(p, p.Now()+q.Timeout)
 	q.Timeouts++
-	if q.u.Trace.Enabled() {
-		q.u.Trace.Emit(p.Now(), trace.CatInval, "ITE: completion %d still pending", t)
+	if q.u.OnEvent != nil {
+		q.u.emit(Event{Kind: EventInvalTimeout, Arg: t})
 	}
 	return ErrInvTimeout
 }
@@ -149,7 +148,9 @@ func (q *InvQueue) Recover(p *sim.Proc) {
 		q.hwFreeAt = p.Now()
 	}
 	q.Recoveries++
-	q.u.Trace.Emit(p.Now(), trace.CatInval, "IQE/ITE recovery: queue drained, global invalidate")
+	if q.u.OnEvent != nil {
+		q.u.emit(Event{Kind: EventInvalRecover})
+	}
 }
 
 // WaitRecover waits for completion time t with full ITE handling: on

@@ -16,7 +16,6 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // DeviceID identifies a DMA-capable device (BDF in real hardware).
@@ -103,9 +102,9 @@ type IOMMU struct {
 	WalkSerialize bool
 	walkFreeAt    uint64
 
-	// Trace, when set, records map/unmap/invalidation/fault events
-	// (tracepoint-style debugging; see internal/trace).
-	Trace *trace.Tracer
+	// OnEvent, when set, receives every map, unmap, invalidation, fault
+	// and quarantine event (tracepoint-style debugging; see Event).
+	OnEvent func(Event)
 
 	msiStats MSIStats
 
@@ -228,9 +227,8 @@ func (u *IOMMU) Map(dev DeviceID, iova IOVA, phys mem.Phys, size int, perm Perm)
 		d.set(pg, pte{pfn: pfn + (pg - first), perm: perm, valid: true})
 	}
 	d.mappedPages += last - first + 1
-	if u.Trace.Enabled() { // guard: the vararg boxing allocates even when tracing is off
-		u.Trace.Emit(u.eng.Now(), trace.CatMap, "dev %d iova %#x -> phys %#x size %d perm %s",
-			dev, uint64(iova), uint64(phys), size, perm)
+	if u.OnEvent != nil {
+		u.emit(Event{Kind: EventMap, Dev: dev, IOVA: iova, Phys: phys, Size: size, Perm: perm})
 	}
 	return nil
 }
@@ -269,8 +267,8 @@ func (u *IOMMU) Unmap(dev DeviceID, iova IOVA, size int) error {
 		}
 		d.wipeDebt -= missing
 	}
-	if u.Trace.Enabled() {
-		u.Trace.Emit(u.eng.Now(), trace.CatUnmap, "dev %d iova %#x size %d", dev, uint64(iova), size)
+	if u.OnEvent != nil {
+		u.emit(Event{Kind: EventUnmap, Dev: dev, IOVA: iova, Size: size})
 	}
 	return nil
 }
@@ -339,8 +337,8 @@ func (u *IOMMU) fault(dev DeviceID, iova IOVA, want Perm, reason string) *Fault 
 	u.FaultCount++
 	f := Fault{Dev: dev, Addr: iova, Want: want, Reason: reason, At: u.eng.Now()}
 	u.ring.Push(f)
-	if u.Trace.Enabled() {
-		u.Trace.Emit(f.At, trace.CatFault, "dev %d iova %#x want %s: %s", dev, uint64(iova), want, reason)
+	if u.OnEvent != nil {
+		u.emit(Event{Kind: EventFault, Dev: dev, IOVA: iova, Perm: want, Reason: reason})
 	}
 	if u.FaultHook != nil {
 		u.FaultHook(f)

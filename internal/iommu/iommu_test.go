@@ -3,13 +3,11 @@ package iommu
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/cycles"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func setup() (*sim.Engine, *mem.Memory, *IOMMU) {
@@ -526,7 +524,8 @@ func TestStrictWaitAccountsBusySpin(t *testing.T) {
 
 func TestTraceRecordsIOMMUEvents(t *testing.T) {
 	eng, m, u := setup()
-	u.Trace = trace.New(64)
+	var events []Event
+	u.OnEvent = func(e Event) { events = append(events, e) }
 	phys, _ := m.AllocPages(0, 1)
 	if err := u.Map(1, 0x9000, phys, 100, PermRead); err != nil {
 		t.Fatal(err)
@@ -543,17 +542,78 @@ func TestTraceRecordsIOMMUEvents(t *testing.T) {
 	eng.Run(1 << 30)
 	eng.Stop()
 	cats := map[string]int{}
-	for _, e := range u.Trace.Events() {
-		cats[e.Cat]++
+	for _, e := range events {
+		cats[e.Kind.Category()]++
 	}
-	for _, want := range []string{trace.CatMap, trace.CatUnmap, trace.CatFault, trace.CatInval} {
+	for _, want := range []string{"map", "unmap", "fault", "inval"} {
 		if cats[want] == 0 {
 			t.Errorf("no %q events recorded (got %v)", want, cats)
 		}
 	}
-	var b strings.Builder
-	u.Trace.Dump(&b)
-	if !strings.Contains(b.String(), "iova 0x9000") {
-		t.Error("dump missing event detail")
+	if want := (Event{Kind: EventMap, Dev: 1, IOVA: 0x9000, Phys: phys, Size: 100, Perm: PermRead}); events[0] != want {
+		t.Errorf("map event = %+v, want %+v", events[0], want)
+	}
+	if got := events[2].String(); got != "dev 1 iova 0x9000 size 100" {
+		t.Errorf("unmap event renders %q", got)
+	}
+}
+
+// TestEventString pins each kind's rendering: the text of the
+// intel-iommu-style trace lines and of the Chrome trace's msg arg.
+func TestEventString(t *testing.T) {
+	for _, c := range []struct {
+		e    Event
+		cat  string
+		want string
+	}{
+		{Event{Kind: EventMap, Dev: 1, IOVA: 0x7000, Phys: 0x2010, Size: 4096, Perm: PermWrite},
+			"map", "dev 1 iova 0x7000 -> phys 0x2010 size 4096 perm w"},
+		{Event{Kind: EventUnmap, Dev: 1, IOVA: 0x7000, Size: 4096}, "unmap", "dev 1 iova 0x7000 size 4096"},
+		{Event{Kind: EventFault, Dev: 2, IOVA: 0x3000, Perm: PermRead, Reason: "not present"},
+			"fault", "dev 2 iova 0x3000 want r: not present"},
+		{Event{Kind: EventBlock, Dev: 3}, "fault", "dev 3 blocked (quarantine)"},
+		{Event{Kind: EventUnblock, Dev: 3}, "fault", "dev 3 unblocked (readmitted)"},
+		{Event{Kind: EventDetach, Dev: 3}, "unmap", "dev 3 detached (hot-unplug)"},
+		{Event{Kind: EventWipe, Dev: 3, Arg: 12}, "unmap", "dev 3 domain wiped (12 pages)"},
+		{Event{Kind: EventInval, Arg: 2212}, "inval", "submitted, hw completes at 2212"},
+		{Event{Kind: EventInvalTimeout, Arg: 9344}, "inval", "ITE: completion 9344 still pending"},
+		{Event{Kind: EventInvalRecover}, "inval", "IQE/ITE recovery: queue drained, global invalidate"},
+	} {
+		if got := c.e.String(); got != c.want {
+			t.Errorf("%+v renders %q, want %q", c.e, got, c.want)
+		}
+		if got := c.e.Kind.Category(); got != c.cat {
+			t.Errorf("kind %d category %q, want %q", c.e.Kind, got, c.cat)
+		}
+	}
+}
+
+// TestEventTakesRunningProcClock: an event caused by a proc carries that
+// proc's clock, which runs ahead of the engine's between yields; one
+// raised from an engine callback carries the engine's time.
+func TestEventTakesRunningProcClock(t *testing.T) {
+	eng, m, u := setup()
+	var events []Event
+	u.OnEvent = func(e Event) { events = append(events, e) }
+	phys, _ := m.AllocPages(0, 1)
+	var mapAt uint64
+	eng.Spawn("c", 0, 0, func(p *sim.Proc) {
+		p.Charge("sw", 1000)
+		mapAt = p.Now()
+		if err := u.Map(1, 0x9000, phys, 100, PermRead); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Schedule(5000, func(uint64) { u.Translate(2, 0x9000, PermRead) }) // fault: no domain
+	eng.Run(1 << 30)
+	eng.Stop()
+	if len(events) != 2 || events[0].Kind != EventMap || events[1].Kind != EventFault {
+		t.Fatalf("events = %+v, want a map then a fault", events)
+	}
+	if mapAt != 1000 || events[0].At != mapAt {
+		t.Errorf("map event at %d, want the proc's clock %d (1000)", events[0].At, mapAt)
+	}
+	if events[1].At != 5000 {
+		t.Errorf("callback fault event at %d, want the engine's time 5000", events[1].At)
 	}
 }

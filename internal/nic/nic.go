@@ -55,12 +55,11 @@ type NIC struct {
 	RxBytes, TxBytes   uint64
 	TxSkbs             uint64
 	RxNoBufDrops       uint64
-	// Quarantine drops: frames/descriptors rejected because the device
-	// is blocked at the IOMMU root (internal/resilience). RX drops
-	// consume no descriptor — posted credits survive the quarantine — so
+	// RxQuarantineDrops counts frames rejected because the device is
+	// blocked at the IOMMU root (internal/resilience). They consume no
+	// descriptor — posted credits survive the quarantine — so
 	// readmission resumes with a full ring.
 	RxQuarantineDrops uint64
-	TxQuarantineDrops uint64
 }
 
 // Queue is one RX/TX queue pair with its completion queues and interrupt
@@ -274,7 +273,6 @@ func (q *Queue) deviceTx(now uint64) {
 			// Quarantined: skip the payload fetch entirely and complete
 			// the descriptor as an error, so the driver never wedges on
 			// a ring the hardware will not drain.
-			n.TxQuarantineDrops++
 			q.completeTx(now, d)
 			continue
 		}

@@ -7,18 +7,20 @@ import (
 	"sort"
 
 	"repro/internal/cycles"
-	"repro/internal/trace"
+	"repro/internal/iommu"
 )
 
 // Recorder captures the simulated timeline for Chrome trace-event export:
 // every completed span becomes a complete ("X") slice on its core's track,
-// every instant a point ("i") event. Capacity-bounded so a long run cannot
-// exhaust host memory; overflow is counted, not fatal.
+// every IOMMU event a point ("i") event on the IOMMU's track. Slices and
+// events are each capacity-bounded so a long run cannot exhaust host
+// memory; overflow is counted, not fatal.
 type Recorder struct {
-	slices   []traceSlice
-	instants []traceInstant
-	max      int
-	// Dropped counts events discarded after the capacity was reached.
+	slices []traceSlice
+	events []iommu.Event
+	max    int
+	// Dropped counts slices and events discarded after the capacity was
+	// reached.
 	Dropped uint64
 }
 
@@ -28,17 +30,11 @@ type traceSlice struct {
 	start, end uint64
 }
 
-type traceInstant struct {
-	name string
-	core int
-	at   uint64
-}
-
 // DefaultRecorderCap bounds the recorded slice count (~64 B per slice).
 const DefaultRecorderCap = 1 << 20
 
 // NewRecorder returns a recorder holding up to max slices (and as many
-// instants); max <= 0 selects DefaultRecorderCap.
+// IOMMU events); max <= 0 selects DefaultRecorderCap.
 func NewRecorder(max int) *Recorder {
 	if max <= 0 {
 		max = DefaultRecorderCap
@@ -54,12 +50,13 @@ func (r *Recorder) slice(name string, core int, start, end uint64) {
 	r.slices = append(r.slices, traceSlice{name: name, core: core, start: start, end: end})
 }
 
-func (r *Recorder) instant(name string, core int, at uint64) {
-	if len(r.instants) >= r.max {
+// IOMMUEvent records one IOMMU event: install it as iommu.IOMMU.OnEvent.
+func (r *Recorder) IOMMUEvent(e iommu.Event) {
+	if len(r.events) >= r.max {
 		r.Dropped++
 		return
 	}
-	r.instants = append(r.instants, traceInstant{name: name, core: core, at: at})
+	r.events = append(r.events, e)
 }
 
 // chromeEvent is one entry of the Chrome trace-event format
@@ -67,15 +64,24 @@ func (r *Recorder) instant(name string, core int, at uint64) {
 // Perfetto and chrome://tracing both load the JSON-object flavour:
 // {"traceEvents": [...]}.
 type chromeEvent struct {
-	Name  string                 `json:"name"`
-	Cat   string                 `json:"cat,omitempty"`
-	Phase string                 `json:"ph"`
-	TS    float64                `json:"ts"`            // microseconds
-	Dur   float64                `json:"dur,omitempty"` // microseconds, ph=X only
-	PID   int                    `json:"pid"`
-	TID   int                    `json:"tid"`
-	Scope string                 `json:"s,omitempty"` // ph=i scope
-	Args  map[string]interface{} `json:"args,omitempty"`
+	Name  string      `json:"name"`
+	Cat   string      `json:"cat,omitempty"`
+	Phase string      `json:"ph"`
+	TS    float64     `json:"ts"`            // microseconds
+	Dur   float64     `json:"dur,omitempty"` // microseconds, ph=X only
+	PID   int         `json:"pid"`
+	TID   int         `json:"tid"`
+	Scope string      `json:"s,omitempty"` // ph=i scope
+	Args  interface{} `json:"args,omitempty"`
+}
+
+// iommuArgs are an IOMMU event's typed args; msg is Event.String.
+type iommuArgs struct {
+	Dev  iommu.DeviceID `json:"dev"`
+	IOVA uint64         `json:"iova"`
+	Phys uint64         `json:"phys"`
+	Size int            `json:"size"`
+	Msg  string         `json:"msg"`
 }
 
 type chromeFile struct {
@@ -84,26 +90,20 @@ type chromeFile struct {
 }
 
 // Process IDs in the exported trace: CPU cores are threads of pid 0, the
-// IOMMU trace ring's events land on pid 1.
+// IOMMU's events land on pid 1.
 const (
 	chromePIDCores = 0
 	chromePIDIOMMU = 1
 )
 
-func cyclesToUs(c uint64) float64 { return float64(c) / (cycles.Hz / 1e6) }
-
-// WriteChromeTrace renders the recorded timeline — plus, optionally, the
-// IOMMU's trace-ring events as instants on a separate "iommu" process —
-// as Chrome trace-event JSON.
-func (r *Recorder) WriteChromeTrace(w io.Writer, ring *trace.Tracer) error {
+// WriteChromeTrace renders the recorded timeline, plus the IOMMU's events
+// as instants on a separate "iommu" process, as Chrome trace-event JSON.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	f := chromeFile{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 
 	cores := map[int]bool{}
 	for _, s := range r.slices {
 		cores[s.core] = true
-	}
-	for _, in := range r.instants {
-		cores[in.core] = true
 	}
 	coreIDs := make([]int, 0, len(cores))
 	for c := range cores {
@@ -123,34 +123,26 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, ring *trace.Tracer) error {
 	}
 
 	for _, s := range r.slices {
-		dur := cyclesToUs(s.end - s.start)
+		dur := cycles.Micros(s.end - s.start)
 		f.TraceEvents = append(f.TraceEvents, chromeEvent{
 			Name: s.name, Cat: "span", Phase: "X",
-			TS: cyclesToUs(s.start), Dur: dur,
+			TS: cycles.Micros(s.start), Dur: dur,
 			PID: chromePIDCores, TID: s.core,
 		})
 	}
-	for _, in := range r.instants {
-		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: in.name, Cat: "event", Phase: "i",
-			TS: cyclesToUs(in.at), PID: chromePIDCores, TID: in.core,
-			Scope: "t",
-		})
-	}
 
-	if ring.Enabled() {
+	f.TraceEvents = append(f.TraceEvents, chromeEvent{
+		Name: "process_name", Phase: "M", PID: chromePIDIOMMU,
+		Args: map[string]interface{}{"name": "iommu"},
+	})
+	for _, e := range r.events {
 		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: "process_name", Phase: "M", PID: chromePIDIOMMU,
-			Args: map[string]interface{}{"name": "iommu"},
+			Name: e.Kind.Category(), Cat: "iommu", Phase: "i",
+			TS: cycles.Micros(e.At), PID: chromePIDIOMMU, TID: 0,
+			Scope: "p",
+			Args: iommuArgs{Dev: e.Dev, IOVA: uint64(e.IOVA), Phys: uint64(e.Phys),
+				Size: e.Size, Msg: e.String()},
 		})
-		for _, e := range ring.Events() {
-			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: e.Cat, Cat: "iommu", Phase: "i",
-				TS: cyclesToUs(e.At), PID: chromePIDIOMMU, TID: 0,
-				Scope: "p",
-				Args:  map[string]interface{}{"msg": e.Msg},
-			})
-		}
 	}
 
 	enc := json.NewEncoder(w)
@@ -158,12 +150,12 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, ring *trace.Tracer) error {
 }
 
 // WriteChromeTraceFile is WriteChromeTrace to a new file at path.
-func (r *Recorder) WriteChromeTraceFile(path string, ring *trace.Tracer) error {
+func (r *Recorder) WriteChromeTraceFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteChromeTrace(f, ring); err != nil {
+	if err := r.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,8 +1,9 @@
 // Package obs is the simulation-time observability layer: it explains
 // *where the virtual cycles went*, in the same vocabulary the paper uses
-// for its breakdown figures (Figs. 5, 6, 8a, 9).
+// for its breakdown figures (Figs. 5, 6, 8a, 9), and what the IOMMU did
+// meanwhile.
 //
-// Three cooperating pieces:
+// Two pieces, one event stream each:
 //
 //   - Profiler — a cycle-attribution profiler fed by hierarchical spans
 //     (sim.SpanSink). Subsystems open spans around their cost sites
@@ -12,20 +13,20 @@
 //     paper's breakdown categories (iova, pt-mgmt, invalidate, lock/spin,
 //     copy, copy-mgmt, ...).
 //
-//   - Registry — a metrics registry (counters, gauges, distributions
-//     summarized via internal/stats) that unifies the ad-hoc counters
-//     scattered through iommu, shadow, iova, nic and the engine under
-//     dotted "subsystem.metric" names (see publish.go).
+//   - Recorder — captures the same spans as timeline slices, plus the
+//     IOMMU's typed events (iommu.Event: maps, unmaps, invalidations,
+//     faults, quarantines), and writes Chrome trace-event JSON
+//     (chrometrace.go) loadable in Perfetto or chrome://tracing: one
+//     track per core, spans as slices, IOMMU events as instants.
 //
-//   - Recorder — captures the same spans as timeline slices and writes
-//     Chrome trace-event JSON (chrometrace.go) loadable in Perfetto or
-//     chrome://tracing: per-core tracks, spans as slices, faults and
-//     invalidations from the internal/trace ring as instants.
+// Registry (registry.go, publish.go) is a separate, host-side surface:
+// the daemon's health reply names its farm.* and daemon.* metrics there.
 //
 // Everything is opt-in per engine: sim procs carry span hooks that are a
-// single nil check when no Observer is installed, spans never charge
-// cycles, and therefore virtual-time results are bit-identical with
-// observability on or off (ci/baseline.json is the proof). See
+// single nil check when no Observer is installed, the IOMMU's OnEvent hook
+// is one nil check when unset, spans never charge cycles, and therefore
+// virtual-time results are bit-identical with observability on or off
+// (bench's TestObservingNeverChangesResults is the proof). See
 // doc/OBSERVABILITY.md for the user guide and span taxonomy.
 package obs
 
@@ -33,27 +34,23 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Observer bundles the pieces and implements sim.SpanSink, fanning each
 // completed span out to the profiler and (when tracing) the recorder.
-// Install with eng.SetObserver(o) before spawning procs. An Observer is
-// per-engine state (the engine dispatches one proc at a time); never share
-// one across concurrently-running machines.
+// Install with eng.SetObserver(o) before spawning procs, and point the
+// machine's iommu.IOMMU.OnEvent at Rec.IOMMUEvent to trace its events. An
+// Observer is per-engine state (the engine dispatches one proc at a
+// time); never share one across concurrently-running machines.
 type Observer struct {
 	Prof *Profiler
 	Rec  *Recorder // nil unless a timeline trace was requested
-	Reg  *Registry
-	// Ring, when the harness sets it, is the IOMMU's event ring; its
-	// faults/invalidations are exported alongside the span timeline.
-	Ring *trace.Tracer
 }
 
-// New returns an Observer with a profiler and registry; pass trace=true to
-// also record the timeline for Chrome trace export.
+// New returns an Observer with a profiler; pass trace=true to also record
+// the timeline for Chrome trace export.
 func New(trace bool) *Observer {
-	o := &Observer{Prof: NewProfiler(), Reg: NewRegistry()}
+	o := &Observer{Prof: NewProfiler()}
 	if trace {
 		o.Rec = NewRecorder(0)
 	}
@@ -68,19 +65,11 @@ func (o *Observer) SpanEnd(p *sim.Proc, path string, self, total, start, end uin
 	}
 }
 
-// SpanInstant implements sim.SpanSink.
-func (o *Observer) SpanInstant(p *sim.Proc, name string, at uint64) {
-	o.Prof.instant(name)
-	if o.Rec != nil {
-		o.Rec.instant(name, p.Core(), at)
-	}
-}
-
-// WriteTraceFile writes the recorded timeline (and the IOMMU ring, if Ring
-// is set) as Chrome trace-event JSON at path.
+// WriteTraceFile writes the recorded timeline and IOMMU events as Chrome
+// trace-event JSON at path.
 func (o *Observer) WriteTraceFile(path string) error {
 	if o.Rec == nil {
 		return fmt.Errorf("obs: no timeline recorded (construct the Observer with New(true))")
 	}
-	return o.Rec.WriteChromeTraceFile(path, o.Ring)
+	return o.Rec.WriteChromeTraceFile(path)
 }

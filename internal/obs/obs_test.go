@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/iommu"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // TestSpanAttribution checks the core invariant: exclusive (self) cycles
@@ -102,7 +102,6 @@ func TestDisabledPathIsInert(t *testing.T) {
 	eng.Spawn("w", 0, 0, func(p *sim.Proc) {
 		p.SpanEnter("x")
 		p.ChargeSpan("y", "tag", 7)
-		p.SpanInstant("z")
 		p.SpanExit()
 		p.SpanExit() // extra exits must be harmless
 		busy, clock = p.Busy(), p.Now()
@@ -150,23 +149,23 @@ func TestGroupClassifier(t *testing.T) {
 
 // TestChromeTraceSchema validates the exported JSON against the trace-event
 // format contract: traceEvents array, ph/ts/pid/tid on every event, dur on
-// complete events, metadata naming the tracks.
+// complete events, metadata naming the tracks, and IOMMU events as
+// instants with typed args.
 func TestChromeTraceSchema(t *testing.T) {
 	eng := sim.NewEngine()
 	o := New(true)
 	eng.SetObserver(o)
-	ring := trace.New(16)
-	ring.Emit(5, trace.CatFault, "dev %d", 3)
+	o.Rec.IOMMUEvent(iommu.Event{At: 480, Kind: iommu.EventFault, Dev: 3, IOVA: 0x5000,
+		Perm: iommu.PermWrite, Reason: "not present"})
 	eng.Spawn("w", 2, 0, func(p *sim.Proc) {
 		p.SpanEnter("rx")
 		p.Charge("other", 240)
-		p.SpanInstant("drop")
 		p.SpanExit()
 	})
 	eng.Run(1 << 40)
 
 	var buf bytes.Buffer
-	if err := o.Rec.WriteChromeTrace(&buf, ring); err != nil {
+	if err := o.Rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var f struct {
@@ -178,7 +177,7 @@ func TestChromeTraceSchema(t *testing.T) {
 	if len(f.TraceEvents) == 0 {
 		t.Fatal("no trace events")
 	}
-	var sawSlice, sawInstant, sawThreadName, sawIOMMU bool
+	var sawSlice, sawThreadName, sawIOMMU bool
 	for _, ev := range f.TraceEvents {
 		ph, _ := ev["ph"].(string)
 		if ph == "" {
@@ -205,10 +204,10 @@ func TestChromeTraceSchema(t *testing.T) {
 			if s, _ := ev["s"].(string); s == "" {
 				t.Fatalf("instant missing scope: %v", ev)
 			}
-			if ev["name"] == "drop" {
-				sawInstant = true
-			}
-			if cat, _ := ev["cat"].(string); cat == "iommu" {
+			args, _ := ev["args"].(map[string]interface{})
+			if ev["cat"] == "iommu" && ev["name"] == "fault" && ev["pid"] == 1.0 && ev["ts"] == 0.2 &&
+				args["dev"] == 3.0 && args["iova"] == float64(0x5000) && args["phys"] == 0.0 &&
+				args["size"] == 0.0 && args["msg"] == "dev 3 iova 0x5000 want w: not present" {
 				sawIOMMU = true
 			}
 		case "M":
@@ -217,9 +216,9 @@ func TestChromeTraceSchema(t *testing.T) {
 			}
 		}
 	}
-	if !sawSlice || !sawInstant || !sawThreadName || !sawIOMMU {
-		t.Errorf("missing event kinds: slice=%v instant=%v meta=%v iommu=%v",
-			sawSlice, sawInstant, sawThreadName, sawIOMMU)
+	if !sawSlice || !sawThreadName || !sawIOMMU {
+		t.Errorf("missing event kinds: slice=%v meta=%v iommu=%v\n%s",
+			sawSlice, sawThreadName, sawIOMMU, buf.String())
 	}
 	// duration of the 240-cycle span at 2.4 GHz = 0.1 µs
 	for _, ev := range f.TraceEvents {
@@ -253,13 +252,18 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
-// TestRecorderCap: the recorder drops, not grows, past its bound.
+// TestRecorderCap: the recorder drops, not grows, past its bound, for
+// slices and IOMMU events alike.
 func TestRecorderCap(t *testing.T) {
 	r := NewRecorder(2)
 	for i := 0; i < 5; i++ {
 		r.slice("s", 0, uint64(i), uint64(i+1))
+		r.IOMMUEvent(iommu.Event{At: uint64(i)})
 	}
-	if len(r.slices) != 2 || r.Dropped != 3 {
-		t.Errorf("slices=%d dropped=%d", len(r.slices), r.Dropped)
+	if len(r.slices) != 2 || len(r.events) != 2 || r.Dropped != 6 {
+		t.Errorf("slices=%d events=%d dropped=%d", len(r.slices), len(r.events), r.Dropped)
+	}
+	if r.events[1].At != 1 {
+		t.Errorf("kept events %v, want the first two", r.events)
 	}
 }

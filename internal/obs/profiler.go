@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -25,16 +24,12 @@ type SpanStat struct {
 // Profiler accumulates span costs. It is single-engine state: the sim
 // engine dispatches one proc at a time, so no locking is needed.
 type Profiler struct {
-	spans    map[string]*SpanStat
-	instants map[string]uint64
+	spans map[string]*SpanStat
 }
 
 // NewProfiler returns an empty profiler.
 func NewProfiler() *Profiler {
-	return &Profiler{
-		spans:    make(map[string]*SpanStat),
-		instants: make(map[string]uint64),
-	}
+	return &Profiler{spans: make(map[string]*SpanStat)}
 }
 
 func (pr *Profiler) add(path string, core int, self, total uint64) {
@@ -54,14 +49,11 @@ func (pr *Profiler) add(path string, core int, self, total uint64) {
 	}
 }
 
-func (pr *Profiler) instant(name string) { pr.instants[name]++ }
-
 // Profile is an immutable snapshot of a profiler, suitable for JSON
 // embedding in benchmark artifacts.
 type Profile struct {
 	// Spans is sorted by Self descending.
-	Spans    []SpanStat        `json:"spans"`
-	Instants map[string]uint64 `json:"instants,omitempty"`
+	Spans []SpanStat `json:"spans"`
 	// TotalBusy is the denominator for attribution: the sum of Busy()
 	// over the workload's CPU procs, filled in by the harness.
 	TotalBusy uint64 `json:"total_busy_cycles"`
@@ -79,12 +71,6 @@ func (pr *Profiler) Snapshot() Profile {
 		}
 		return p.Spans[i].Path < p.Spans[j].Path
 	})
-	if len(pr.instants) > 0 {
-		p.Instants = make(map[string]uint64, len(pr.instants))
-		for k, v := range pr.instants {
-			p.Instants[k] = v
-		}
-	}
 	return p
 }
 
@@ -198,19 +184,4 @@ func (p Profile) GroupCycles(group string) uint64 {
 		}
 	}
 	return sum
-}
-
-// String renders the profile as a text table (self-cycle order), for the
-// -cyclereport human output.
-func (p Profile) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-40s %12s %14s %14s\n", "span", "count", "self-cycles", "total-cycles")
-	for _, st := range p.Spans {
-		fmt.Fprintf(&b, "%-40s %12d %14d %14d\n", st.Path, st.Count, st.Self, st.Total)
-	}
-	if p.TotalBusy > 0 {
-		fmt.Fprintf(&b, "%-40s %12s %14d   (%.1f%% of %d busy)\n",
-			"attributed", "", p.Attributed(), 100*p.Coverage(), p.TotalBusy)
-	}
-	return b.String()
 }

@@ -1,103 +1,11 @@
 package obs
 
-// Metric publishing: each subsystem keeps its raw counters as the storage
-// of record (cheap, lock-free under engine scheduling), and these helpers
-// pull them into a Registry under the repo's dotted naming convention
+// Metric publishing: the daemon's health reply (internal/daemon) carries
+// the farm.* and daemon.* metrics below. Each owner keeps its raw
+// counters as the storage of record and hands a snapshot struct to a
+// Publish helper, which names them under the dotted convention
 //
-//	<subsystem>.<object>.<metric>     e.g. iommu.iotlb.hits
-//
-// after a run. The registry is therefore a zero-cost abstraction during
-// simulation and a single uniform surface at reporting time.
-
-import (
-	"repro/internal/dmaapi"
-	"repro/internal/iommu"
-	"repro/internal/nic"
-	"repro/internal/resilience"
-	"repro/internal/shadow"
-	"repro/internal/sim"
-)
-
-// PublishEngine records the scheduler's dispatch statistics.
-func PublishEngine(r *Registry, e *sim.Engine) {
-	r.Counter("sim.engine.dispatches", e.Dispatches())
-	r.Counter("sim.engine.fast_yields", e.FastYields())
-	r.Counter("sim.engine.lazy_drops", e.LazyDrops())
-}
-
-// PublishLock records one spinlock's contention statistics under
-// lock.<name>.*.
-func PublishLock(r *Registry, l *sim.Spinlock) {
-	p := "lock." + l.Name() + "."
-	r.Counter(p+"acquires", l.Acquires)
-	r.Counter(p+"contended", l.Contended)
-	r.Counter(p+"wait_cycles", l.WaitCycles)
-	r.Counter(p+"handoff_cycles", l.HandoffCycles)
-	r.Gauge(p+"max_waiters", float64(l.MaxWaiters))
-}
-
-// PublishIOMMU records translation, IOTLB, fault and invalidation-queue
-// statistics under iommu.*.
-func PublishIOMMU(r *Registry, u *iommu.IOMMU) {
-	r.Counter("iommu.translations", u.Translations)
-	r.Counter("iommu.faults", u.FaultCount)
-	t := u.TLB()
-	r.Counter("iommu.iotlb.hits", t.Hits)
-	r.Counter("iommu.iotlb.misses", t.Misses)
-	r.Counter("iommu.iotlb.evictions", t.Evictions)
-	r.Counter("iommu.iotlb.invalidations", t.Invalidations)
-	r.Counter("iommu.iotlb.ttl_expiries", t.TTLExpiries)
-	r.Gauge("iommu.iotlb.hit_rate", t.HitRate())
-	r.Counter("iommu.invq.submitted", u.Queue.Submitted)
-	r.Counter("iommu.invq.completed", u.Queue.Completed)
-	r.Counter("iommu.invq.timeouts", u.Queue.Timeouts)
-	r.Counter("iommu.invq.recoveries", u.Queue.Recoveries)
-	ring := u.FaultRing()
-	r.Gauge("iommu.faultring.len", float64(ring.Len()))
-	r.Counter("iommu.faultring.recorded", ring.Recorded())
-	r.Counter("iommu.faultring.overflow", ring.Overflow())
-	r.Counter("iommu.blocked_dmas", u.BlockedDMAs)
-	r.Gauge("iommu.blocked_devices", float64(u.BlockedDevices()))
-	PublishLock(r, u.Queue.Lock)
-}
-
-// PublishResilience records the fault-domain policy engine's aggregate
-// state under resilience.*.
-func PublishResilience(r *Registry, s *resilience.Supervisor) {
-	r.Counter("resilience.faults_observed", s.FaultsObserved)
-	r.Counter("resilience.quarantines", s.Quarantines)
-	r.Counter("resilience.readmits", s.Readmits)
-	r.Counter("resilience.wiped_pages", s.WipedPages)
-	r.Gauge("resilience.quarantined_devices", float64(s.QuarantinedDevices()))
-}
-
-// PublishPool records the shadow pool's statistics under shadow.pool.*.
-func PublishPool(r *Registry, ps shadow.PoolStats) {
-	r.Counter("shadow.pool.acquires", ps.Acquires)
-	r.Counter("shadow.pool.releases", ps.Releases)
-	r.Counter("shadow.pool.finds", ps.Finds)
-	r.Counter("shadow.pool.grows", ps.Grows)
-	r.Counter("shadow.pool.cache_hits", ps.CacheHits)
-	r.Counter("shadow.pool.list_hits", ps.ListHits)
-	r.Counter("shadow.pool.fallback_buffers", ps.FallbackBuffers)
-	r.Counter("shadow.pool.trims", ps.Trims)
-	r.Gauge("shadow.pool.bytes", float64(ps.TotalBytes()))
-}
-
-// PublishNIC records the NIC's datapath counters under nic.*.
-func PublishNIC(r *Registry, n *nic.NIC) {
-	r.Counter("nic.rx.frames", n.RxFrames)
-	r.Counter("nic.rx.bytes", n.RxBytes)
-	r.Counter("nic.rx.drops", n.RxDrops)
-	r.Counter("nic.rx.nobuf_drops", n.RxNoBufDrops)
-	r.Counter("nic.rx.faults", n.RxFaults)
-	r.Counter("nic.tx.frames", n.TxFrames)
-	r.Counter("nic.tx.bytes", n.TxBytes)
-	r.Counter("nic.tx.skbs", n.TxSkbs)
-	r.Counter("nic.tx.faults", n.TxFaults)
-	r.Counter("nic.rx.quarantine_drops", n.RxQuarantineDrops)
-	r.Counter("nic.tx.quarantine_drops", n.TxQuarantineDrops)
-}
+//	<subsystem>.<object>.<metric>     e.g. daemon.store.hits
 
 // FarmStats is the scheduler snapshot of a bench.Farm (the host-side
 // work-stealing sweep pool). Defined here so the pool can publish through
@@ -207,29 +115,4 @@ func PublishDaemon(r *Registry, s DaemonStats) {
 	r.Gauge("daemon.executing", float64(s.Executing))
 	r.Gauge("daemon.waiting", float64(s.Waiting))
 	r.Gauge("daemon.uptime_ms", float64(s.UptimeMs))
-}
-
-// PublishMapper records one protection strategy's DMA-API statistics under
-// dma.<strategy>.*.
-func PublishMapper(r *Registry, name string, st dmaapi.Stats) {
-	p := "dma." + name + "."
-	r.Counter(p+"maps", st.Maps)
-	r.Counter(p+"unmaps", st.Unmaps)
-	r.Counter(p+"bytes_mapped", st.BytesMapped)
-	r.Counter(p+"coherent_allocs", st.CoherentAllocs)
-	r.Counter(p+"deferred_flushes", st.DeferredFlushes)
-	r.Gauge(p+"deferred_queue_peak", float64(st.DeferredQueuePeak))
-	if st.Maps > 0 || st.FallbackMaps > 0 {
-		r.Counter(p+"fallback_maps", st.FallbackMaps)
-		r.Counter(p+"hybrid_maps", st.HybridMaps)
-		r.Counter(p+"bytes_copied", st.BytesCopied)
-		r.Counter(p+"copy_hint_bytes_saved", st.CopyHintBytesSaved)
-		r.Gauge(p+"shadow_pool_bytes", float64(st.ShadowPoolBytes))
-		r.Gauge(p+"shadow_pool_buffers", float64(st.ShadowPoolBuffers))
-	}
-	if st.DegradedRetries+st.DegradedSpills+st.BackpressureFails > 0 {
-		r.Counter(p+"resilience.retries", st.DegradedRetries)
-		r.Counter(p+"resilience.spills", st.DegradedSpills)
-		r.Counter(p+"resilience.backpressure", st.BackpressureFails)
-	}
 }

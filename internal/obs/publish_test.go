@@ -1,80 +1,36 @@
 package obs
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/cycles"
-	"repro/internal/dmaapi"
-	"repro/internal/iommu"
-	"repro/internal/mem"
-	"repro/internal/nic"
-	"repro/internal/shadow"
-	"repro/internal/sim"
-)
-
-// TestPublishNaming pins the dotted naming convention end to end: each
-// Publish helper pulls its subsystem's raw counters into the registry
-// under <subsystem>.<object>.<metric> names.
+// TestPublishNaming pins the dotted names the daemon's health reply
+// carries: each DaemonStats field lands under daemon.*, the store mirror
+// under daemon.store.*.
 func TestPublishNaming(t *testing.T) {
 	r := NewRegistry()
-	eng := sim.NewEngine()
-	costs := cycles.Default()
-	m := mem.New(1)
-	u := iommu.New(eng, m, costs)
-
-	PublishEngine(r, eng)
-	PublishIOMMU(r, u)
-	PublishNIC(r, nic.New(eng, u, nic.Config{
-		Dev: 1, Queues: 1, RingSize: 8, MTU: 1500, Costs: costs,
-	}))
-	PublishPool(r, shadow.PoolStats{Acquires: 7, Releases: 5})
-	PublishMapper(r, "copy", dmaapi.Stats{
-		Maps: 3, Unmaps: 3, BytesCopied: 4096, FallbackMaps: 1,
+	PublishDaemon(r, DaemonStats{
+		Requests: 9, Runs: 4, CacheHits: 5, CorruptRecomputed: 1,
+		StoreHits: 5, StoreMisses: 4, Executing: 2, UptimeMs: 1500,
 	})
-	PublishMapper(r, "noiommu", dmaapi.Stats{}) // no maps: shadow-only metrics suppressed
-
-	l := sim.NewSpinlock("iova", "sw", sim.LockCosts{Uncontended: 4})
-	eng.Spawn("w", 0, 0, func(p *sim.Proc) {
-		l.Lock(p)
-		l.Unlock(p)
-	})
-	eng.Run(1 << 20)
-	eng.Stop()
-	PublishLock(r, l)
-
 	s := r.Snapshot()
-	for _, name := range []string{
-		"sim.engine.dispatches",
-		"iommu.translations",
-		"iommu.iotlb.hits",
-		"iommu.invq.submitted",
-		"nic.rx.frames",
-		"nic.tx.bytes",
-		"shadow.pool.acquires",
-		"dma.copy.maps",
-		"dma.copy.bytes_copied",
-		"lock.iova.acquires",
+	for name, want := range map[string]uint64{
+		"daemon.requests":                 9,
+		"daemon.runs":                     4,
+		"daemon.cache_hits":               5,
+		"daemon.store.corrupt_recomputed": 1,
+		"daemon.store.hits":               5,
+		"daemon.store.misses":             4,
+		"daemon.overloads":                0,
 	} {
-		if _, ok := s.Counters[name]; !ok {
-			t.Errorf("counter %q not published", name)
+		if got, ok := s.Counters[name]; !ok || got != want {
+			t.Errorf("counter %s = %d (published %v), want %d", name, got, ok, want)
 		}
 	}
-	for _, name := range []string{"iommu.iotlb.hit_rate", "shadow.pool.bytes"} {
-		if _, ok := s.Gauges[name]; !ok {
-			t.Errorf("gauge %q not published", name)
+	for name, want := range map[string]float64{
+		"daemon.executing": 2, "daemon.waiting": 0, "daemon.uptime_ms": 1500,
+	} {
+		if got, ok := s.Gauges[name]; !ok || got != want {
+			t.Errorf("gauge %s = %v (published %v), want %v", name, got, ok, want)
 		}
-	}
-	if s.Counters["shadow.pool.acquires"] != 7 {
-		t.Errorf("shadow.pool.acquires = %d, want 7", s.Counters["shadow.pool.acquires"])
-	}
-	if s.Counters["dma.copy.bytes_copied"] != 4096 {
-		t.Errorf("dma.copy.bytes_copied = %d, want 4096", s.Counters["dma.copy.bytes_copied"])
-	}
-	if _, ok := s.Counters["dma.noiommu.bytes_copied"]; ok {
-		t.Error("shadow-only metrics published for a mapper with zero maps")
-	}
-	if s.Counters["lock.iova.acquires"] != 1 {
-		t.Errorf("lock.iova.acquires = %d, want 1", s.Counters["lock.iova.acquires"])
 	}
 	if got := s.String(); got == "" {
 		t.Error("Snapshot.String() empty")

@@ -9,17 +9,16 @@ import (
 )
 
 // Registry is a metrics registry with three kinds of series, all named by
-// dotted "subsystem.object.metric" strings (e.g. "iommu.iotlb.hits",
-// "shadow.pool.bytes", "lock.iova.wait_cycles"):
+// dotted "subsystem.object.metric" strings (e.g. "daemon.store.hits",
+// "farm.queue_hwm", "farm.worker_util_pct"):
 //
 //   - counters: monotonically published uint64 totals
 //   - gauges: point-in-time float64 levels
 //   - distributions: float64 samples, summarized via internal/stats
 //
-// Subsystems keep their raw fields as the storage of record; the registry
-// is the uniform *aggregation* surface they publish snapshots into (pull
-// model — see publish.go), so that every tool renders and serializes
-// metrics the same way.
+// Owners keep their raw fields as the storage of record and publish
+// snapshots into a fresh registry when asked (pull model, see
+// publish.go); the daemon's health reply is its one reader.
 type Registry struct {
 	counters map[string]uint64
 	gauges   map[string]float64

@@ -47,12 +47,11 @@ func DefaultConfig(cores, domains int, domainOf func(int) int) Config {
 
 // PoolStats counts pool activity and footprint.
 type PoolStats struct {
-	Acquires, Releases, Finds uint64
-	Grows                     uint64
-	CacheHits                 uint64
-	ListHits                  uint64
-	FallbackBuffers           uint64
-	Trims                     uint64
+	Acquires, Releases uint64
+	Grows              uint64
+	CacheHits          uint64
+	FallbackBuffers    uint64
+	Trims              uint64
 	// BytesByClass is the memory currently backing shadow buffers, per
 	// size class (the §6 "memory consumption" measurement).
 	BytesByClass []uint64
@@ -299,7 +298,6 @@ func (p *Pool) Acquire(proc *sim.Proc, osBuf mem.Buf, size int, rights iommu.Per
 	}
 	// 2) Owner free list head — lockless.
 	if m := p.lists[core][class][ri].pop(); m != nil {
-		p.stats.ListHits++
 		return p.take(m, osBuf), nil
 	}
 	// 3) Grow: allocate, map and encode fresh shadow buffers.
@@ -434,7 +432,6 @@ func (p *Pool) growFallback(proc *sim.Proc, core, class, ri int, phys mem.Phys, 
 // in O(1) via the IOVA encoding (Table 2: find_shadow).
 func (p *Pool) Find(proc *sim.Proc, addr iommu.IOVA) (*Meta, error) {
 	proc.ChargeSpan("pool-find", cycles.TagCopyMgmt, p.costs.ShadowFind)
-	p.stats.Finds++
 	if !IsShadow(addr) {
 		// Fallback half: external hash table.
 		p.fb.lock.Lock(proc)

@@ -32,6 +32,7 @@ type Engine struct {
 	procs    []*Proc
 	stopping bool
 	running  bool
+	cur      *Proc // the proc Run is resuming; nil in callbacks
 
 	// noFastYield disables tryFastYield, so every fence and sleep parks
 	// and is re-dispatched through the wake queue. Tests use it as the
@@ -45,7 +46,6 @@ type Engine struct {
 	// Scheduler statistics (informational; virtual-time results never
 	// depend on them).
 	dispatches uint64
-	fastYields uint64
 	lazyDrops  uint64
 }
 
@@ -54,6 +54,12 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the engine's current virtual time in cycles.
 func (e *Engine) Now() uint64 { return e.now }
+
+// Current returns the proc Run is resuming, or nil while a callback runs
+// and outside Run. A proc's clock runs ahead of Now between its yields, so
+// code that both procs and callbacks reach (the IOMMU) stamps its events
+// with Current's clock when there is one.
+func (e *Engine) Current() *Proc { return e.cur }
 
 // Procs returns a snapshot of all spawned procs (for stats collection).
 // The slice is a copy; mutating it cannot alias engine state.
@@ -67,10 +73,6 @@ func (e *Engine) Procs() []*Proc {
 // resumes and callback invocations; lazily dropped cancelled timers and
 // fast-path yields are not dispatches).
 func (e *Engine) Dispatches() uint64 { return e.dispatches }
-
-// FastYields returns how many fence/sleep operations took the same-proc
-// fast path, continuing without a switch to Run.
-func (e *Engine) FastYields() uint64 { return e.fastYields }
 
 // LazyDrops returns how many cancelled timers were discarded from the wake
 // queue without being dispatched.
@@ -217,7 +219,6 @@ func (e *Engine) tryFastYield(at uint64) bool {
 	if at > e.now {
 		e.now = at
 	}
-	e.fastYields++
 	return true
 }
 
@@ -296,7 +297,7 @@ func (e *Engine) Run(until uint64) uint64 {
 	}
 	e.running = true
 	e.limit = until
-	defer func() { e.running = false }()
+	defer func() { e.running, e.cur = false, nil }()
 	e.mergeFar()
 	for {
 		e.pruneTop()
@@ -325,7 +326,9 @@ func (e *Engine) Run(until uint64) uint64 {
 		}
 		e.dispatches++
 		p.wakeAt = it.at
+		e.cur = p
 		p.next()
+		e.cur = nil
 	}
 	if e.now < until {
 		e.now = until

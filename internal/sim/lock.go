@@ -27,11 +27,9 @@ type Spinlock struct {
 	waiters []*Proc
 
 	// Stats
-	Acquires      uint64
-	Contended     uint64
-	WaitCycles    uint64
-	MaxWaiters    int
-	HandoffCycles uint64
+	Acquires   uint64
+	Contended  uint64
+	MaxWaiters int
 }
 
 // NewSpinlock creates a spinlock. Spin-wait time is accounted under tag
@@ -39,9 +37,6 @@ type Spinlock struct {
 func NewSpinlock(name, tag string, costs LockCosts) *Spinlock {
 	return &Spinlock{name: name, spanName: "spin:" + name, costs: costs, tag: tag}
 }
-
-// Name returns the lock's name.
-func (l *Spinlock) Name() string { return l.name }
 
 // Held reports whether the lock is currently owned (for tests/invariants).
 func (l *Spinlock) Held() bool { return l.owner != nil }
@@ -73,9 +68,7 @@ func (l *Spinlock) Lock(p *Proc) {
 	if len(l.waiters) > l.MaxWaiters {
 		l.MaxWaiters = len(l.waiters)
 	}
-	start := p.clock
 	p.block() // woken by Unlock with ownership already transferred
-	l.WaitCycles += p.clock - start
 }
 
 // Unlock releases the spinlock and hands it to the oldest waiter, if any,
@@ -91,7 +84,6 @@ func (l *Spinlock) Unlock(p *Proc) {
 	next := l.waiters[0]
 	l.waiters = l.waiters[1:]
 	penalty := l.costs.HandoffBase + l.costs.HandoffPerWaiter*uint64(len(l.waiters)+1)
-	l.HandoffCycles += penalty
 	l.owner = next
 	at := p.clock
 	if next.clock > at {

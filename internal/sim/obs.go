@@ -10,18 +10,15 @@ package sim
 // cycles; they only attribute cycles that Charge/Work/SpinUntil (and the
 // spinlock contention model) already account.
 
-// SpanSink receives completed spans and instant events from procs. The
-// engine dispatches procs one at a time, so implementations need no
-// locking for same-engine use.
+// SpanSink receives completed spans from procs. The engine dispatches
+// procs one at a time, so implementations need no locking for same-engine
+// use.
 type SpanSink interface {
 	// SpanEnd reports one completed span: its slash-joined hierarchical
 	// path ("unmap/inval/inval-wait"), the busy cycles attributed
 	// exclusively to it (self) and inclusively (total, self plus
 	// children), and its wall-clock interval in virtual time.
 	SpanEnd(p *Proc, path string, self, total, start, end uint64)
-	// SpanInstant reports a point event (a fault, a drop) at virtual
-	// time at.
-	SpanInstant(p *Proc, name string, at uint64)
 }
 
 // spanFrame is one open span on a proc's stack.
@@ -71,15 +68,6 @@ func (p *Proc) SpanExit() {
 		p.spans[n-1].child += total
 	}
 	p.obs.SpanEnd(p, f.path, self, total, f.start, p.clock)
-}
-
-// SpanInstant reports a point event at the proc's current virtual time.
-// No-op without a sink.
-func (p *Proc) SpanInstant(name string) {
-	if p.obs == nil {
-		return
-	}
-	p.obs.SpanInstant(p, name, p.clock)
 }
 
 // ChargeSpan is Charge wrapped in a single-purpose span: the charged

@@ -2,10 +2,9 @@ package sim
 
 import "testing"
 
-// recSink records every span and instant it receives.
+// recSink records every span it receives.
 type recSink struct {
 	spans []recSpan
-	insts []recInstant
 }
 
 type recSpan struct {
@@ -13,16 +12,8 @@ type recSpan struct {
 	self, total, start, end uint64
 }
 
-type recInstant struct {
-	name string
-	at   uint64
-}
-
 func (s *recSink) SpanEnd(p *Proc, path string, self, total, start, end uint64) {
 	s.spans = append(s.spans, recSpan{path, self, total, start, end})
-}
-func (s *recSink) SpanInstant(p *Proc, name string, at uint64) {
-	s.insts = append(s.insts, recInstant{name, at})
 }
 
 func (s *recSink) find(t *testing.T, path string) recSpan {
@@ -57,7 +48,6 @@ func TestSpanAttribution(t *testing.T) {
 		p.SpanExit()
 		p.ChargeSpan("ptes", "iommu", 25)
 		p.WorkSpan("copy", "copy", 30)
-		p.SpanInstant("fault")
 		busy = p.Busy()
 	})
 	e.Run(1 << 30)
@@ -83,9 +73,6 @@ func TestSpanAttribution(t *testing.T) {
 	if sp := sink.find(t, "copy"); sp.self != 30 {
 		t.Errorf("copy self = %d, want 30", sp.self)
 	}
-	if len(sink.insts) != 1 || sink.insts[0].name != "fault" {
-		t.Errorf("instants = %v, want one %q", sink.insts, "fault")
-	}
 	// Sum of self cycles over all spans equals total busy: nothing double
 	// counted, nothing lost.
 	var self uint64
@@ -110,7 +97,6 @@ func TestSpansDisabledAreNoOps(t *testing.T) {
 		p.SpanEnter("unmap")
 		p.ChargeSpan("ptes", "iommu", 25)
 		p.WorkSpan("copy", "copy", 30)
-		p.SpanInstant("fault")
 		p.SpanExit()
 		p.SpanExit() // unbalanced exit must be harmless too
 		busy = p.Busy()

@@ -521,3 +521,31 @@ func TestFastYieldEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestCurrentIsTheResumedProc: Current names the proc Run is resuming,
+// and is nil in callbacks and once Run returns.
+func TestCurrentIsTheResumedProc(t *testing.T) {
+	e := NewEngine()
+	var procs [2]*Proc
+	for i := range procs {
+		i := i
+		procs[i] = e.Spawn("w", i, 0, func(p *Proc) {
+			for k := 0; k < 3; k++ {
+				if e.Current() != p {
+					t.Errorf("proc %d: Current = %v", i, e.Current())
+				}
+				p.Work("sw", uint64(10+i))
+			}
+		})
+	}
+	e.Schedule(15, func(uint64) {
+		if e.Current() != nil {
+			t.Errorf("callback: Current = %v, want nil", e.Current())
+		}
+	})
+	e.Run(1 << 20)
+	if e.Current() != nil {
+		t.Errorf("after Run: Current = %v, want nil", e.Current())
+	}
+	e.Stop()
+}
