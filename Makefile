@@ -8,9 +8,13 @@ build:
 # The benchmark is its own module (repro/benchmark), invisible to the root
 # ./...; vetting it compiles it against the daemon/store/campaign/bench
 # APIs it imports, so an API break fails here, not at benchmark time.
+# gofmt -l then lists every Go file of both modules (benchmark/ included,
+# .bench_build/ skipped) that gofmt would change; any listed file fails.
 vet:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet ./...
+	@unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
+		if [ -n "$$unformatted" ]; then echo "gofmt: unformatted Go files:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

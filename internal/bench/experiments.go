@@ -16,7 +16,10 @@ type Options struct {
 	Sizes    []int
 	Systems  []string
 	// Costs overrides the cost model (the sensitivity analysis perturbs
-	// it); nil uses the paper-calibrated defaults.
+	// it); nil uses the paper-calibrated defaults. It reaches only the
+	// netperf stream points that config builds (RX, TX and RR): memcached,
+	// storage, mixed and the DMA API microbenchmark always run the
+	// default model.
 	Costs *cycles.Costs
 	// Farm is the worker pool sweep points are submitted through. Nil
 	// uses a shared process-wide pool sized GOMAXPROCS, so standalone

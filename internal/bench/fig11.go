@@ -37,43 +37,25 @@ func runMemcached(system string, cores int, windowMs float64, o *obs.Observer) (
 	if err != nil {
 		return KVResult{}, nil, err
 	}
+	defer mach.Teardown()
 	scfg := kv.DefaultServerConfig()
 	ccfg := kv.DefaultClientConfig()
 	stores := make([]*kv.Store, cores)
 	stats := make([]kv.ServerStats, cores)
 	clients := make([]*kv.Client, cores)
-	var procs []*sim.Proc
-	var runErr error
-	for c := 0; c < cores; c++ {
-		c := c
+	for c := range stores {
 		stores[c] = kv.NewStore(mach.Mem, mach.Kmal)
 		if err := kv.Prepopulate(stores[c], mach.Env.DomainOfCore(c), scfg); err != nil {
 			return KVResult{}, nil, err
 		}
-		pr := mach.Eng.Spawn(fmt.Sprintf("memcached%d", c), c, 0, func(p *sim.Proc) {
-			if err := kv.RunServer(p, mach.Driver, stores[c], c, scfg, &stats[c]); err != nil {
-				runErr = err
-			}
-		})
-		procs = append(procs, pr)
 		clients[c] = kv.NewClient(mach.Eng, mach.NIC, c, cfg.Costs, ccfg)
-		clients[c].Start(cycles.FromMicros(200))
 	}
-	window := cycles.FromMillis(windowMs)
-	mach.Eng.Run(window)
-	var busy uint64
-	for _, p := range procs {
-		busy += p.Busy()
-	}
-	var prof *obs.Profile
-	if o != nil {
-		pr := o.Prof.Snapshot()
-		pr.TotalBusy = busy
-		prof = &pr
-	}
-	mach.Teardown()
-	if runErr != nil {
-		return KVResult{}, nil, runErr
+	servers := mach.SpawnCores("memcached", 0, cores, func(p *sim.Proc, c int) error {
+		return kv.RunServer(p, mach.Driver, stores[c], c, scfg, &stats[c])
+	}, func(c int) { clients[c].Start(cycles.FromMicros(200)) })
+	w := mach.Measure(windowMs, servers.Procs)
+	if servers.Err != nil {
+		return KVResult{}, nil, servers.Err
 	}
 	var tx, gets, sets, errors uint64
 	for c := 0; c < cores; c++ {
@@ -84,14 +66,14 @@ func runMemcached(system string, cores int, windowMs float64, o *obs.Observer) (
 	}
 	res := KVResult{
 		System:         system,
-		TransactionsPS: cycles.PerSec(tx, window),
-		CPUPct:         100 * float64(busy) / (float64(window) * float64(cores)),
+		TransactionsPS: cycles.PerSec(tx, w.Cycles),
+		CPUPct:         w.CPUPct,
 		Errors:         errors,
 	}
 	if gets+sets > 0 {
 		res.GetPct = 100 * float64(gets) / float64(gets+sets)
 	}
-	return res, prof, nil
+	return res, w.Profile, nil
 }
 
 // Fig11 reproduces Figure 11 across the four systems.

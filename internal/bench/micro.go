@@ -60,6 +60,7 @@ func runMicro(system string, pat MicroPattern, pairs int, o *obs.Observer) (Micr
 	if err != nil {
 		return MicroResult{}, nil, err
 	}
+	defer mach.Teardown()
 	var perPair float64
 	var runErr error
 	pr := mach.Eng.Spawn("micro", 0, 0, func(p *sim.Proc) {
@@ -125,7 +126,6 @@ func runMicro(system string, pat MicroPattern, pairs int, o *obs.Observer) (Micr
 		snap.TotalBusy = pr.Busy()
 		prof = &snap
 	}
-	mach.Teardown()
 	if runErr != nil {
 		return MicroResult{}, nil, runErr
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/core"
@@ -37,6 +38,11 @@ func RunMixed(system string, netCores, blkCores int, windowMs float64) (MixedRes
 	eng := sim.NewEngine()
 	m := mem.New(2)
 	u := iommu.New(eng, m, costs)
+	// Not NewMachine: both devices' mappers span all the net and block
+	// cores (Env.DomainOfCore divides by Cores), so the NUMA placement
+	// differs from a net-only machine's.
+	mach := &Machine{Eng: eng, Mem: m, IOMMU: u}
+	defer mach.Teardown()
 	totalCores := netCores + blkCores
 
 	newMapperFor := func(dev iommu.DeviceID, hint bool) (dmaapi.Mapper, *dmaapi.Env, error) {
@@ -65,43 +71,21 @@ func RunMixed(system string, netCores, blkCores int, windowMs float64) (MixedRes
 
 	netStats := make([]netstack.RxStats, netCores)
 	blkStats := make([]ssd.WorkloadStats, blkCores)
-	var procs []*sim.Proc
-	var runErr error
-	for c := 0; c < netCores; c++ {
-		c := c
-		pr := eng.Spawn(fmt.Sprintf("rx%d", c), c, 0, func(p *sim.Proc) {
-			if err := drv.SetupQueue(p, c); err != nil {
-				runErr = err
-				return
-			}
-			if err := drv.RunRxStream(p, c, 16384, &netStats[c]); err != nil {
-				runErr = err
-			}
-		})
-		procs = append(procs, pr)
-		src := nic.NewSource(eng, n.Queue(c), costs, 16384, 1500, true)
-		src.Start(0)
-	}
-	for c := 0; c < blkCores; c++ {
-		c := c
-		eng.Spawn(fmt.Sprintf("blk%d", c), netCores+c, 0, func(p *sim.Proc) {
-			wcfg := ssd.WorkloadConfig{IOSize: 4096, ReadPct: 70, Depth: 32, Seed: 11}
-			if err := bd.RunWorkload(p, c, wcfg, &blkStats[c]); err != nil {
-				runErr = err
-			}
-		})
-	}
-	window := cycles.FromMillis(windowMs)
-	eng.Run(window)
-	var netBusy uint64
-	for _, p := range procs {
-		netBusy += p.Busy()
-	}
-	contended := u.Queue.Lock.Contended
-	eng.Stop()
-	m.Release()
-	if runErr != nil {
-		return MixedResult{}, runErr
+	net := mach.SpawnCores("rx", 0, netCores, func(p *sim.Proc, c int) error {
+		if err := drv.SetupQueue(p, c); err != nil {
+			return err
+		}
+		return drv.RunRxStream(p, c, 16384, &netStats[c])
+	}, func(c int) {
+		nic.NewSource(eng, n.Queue(c), costs, 16384, 1500, true).Start(0)
+	})
+	blk := mach.SpawnCores("blk", netCores, blkCores, func(p *sim.Proc, c int) error {
+		wcfg := ssd.WorkloadConfig{IOSize: 4096, ReadPct: 70, Depth: 32, Seed: 11}
+		return bd.RunWorkload(p, c, wcfg, &blkStats[c])
+	}, nil)
+	w := mach.Measure(windowMs, net.Procs)
+	if err := cmp.Or(net.Err, blk.Err); err != nil {
+		return MixedResult{}, err
 	}
 	var netBytes uint64
 	for _, s := range netStats {
@@ -114,11 +98,11 @@ func RunMixed(system string, netCores, blkCores int, windowMs float64) (MixedRes
 	}
 	return MixedResult{
 		System:   system,
-		NetGbps:  cycles.Gbps(netBytes, window),
-		BlkIOPS:  cycles.PerSec(blkOps, window),
-		NetCPU:   100 * float64(netBusy) / (float64(window) * float64(netCores)),
+		NetGbps:  cycles.Gbps(netBytes, w.Cycles),
+		BlkIOPS:  cycles.PerSec(blkOps, w.Cycles),
+		NetCPU:   w.CPUPct,
 		Errors:   blkErrs,
-		InvWaits: contended,
+		InvWaits: u.Queue.Lock.Contended,
 	}, nil
 }
 

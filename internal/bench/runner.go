@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/cycles"
@@ -62,10 +63,10 @@ type Config struct {
 	// the shadow pool's NUMA stickiness).
 	RemoteBufs bool
 	// Obs, when non-nil, installs the observability layer on the machine's
-	// engine: spans feed its profiler (Result.Profile), counters are
-	// published into its registry after the run, and — if it records a
-	// timeline — the IOMMU gets an event ring for trace export. Must not
-	// be shared across concurrently-running machines.
+	// engine: spans feed its profiler (Result.Profile) and, if it records
+	// a timeline, its recorder also receives the IOMMU's events
+	// (IOMMU.OnEvent) for trace export. Must not be shared across
+	// concurrently-running machines.
 	Obs *obs.Observer
 }
 
@@ -195,6 +196,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer mach.Teardown()
 	switch cfg.Direction {
 	case RX:
 		return runRx(mach, cfg)
@@ -208,133 +210,142 @@ func Run(cfg Config) (Result, error) {
 
 func runRx(mach *Machine, cfg Config) (Result, error) {
 	stats := make([]netstack.RxStats, cfg.Cores)
-	var setupErr, runErr error
-	var procs []*sim.Proc
-	for c := 0; c < cfg.Cores; c++ {
-		c := c
-		pr := mach.Eng.Spawn(fmt.Sprintf("rx%d", c), c, 0, func(p *sim.Proc) {
-			if err := mach.Driver.SetupQueue(p, c); err != nil {
-				setupErr = err
-				return
-			}
-			if err := mach.Driver.RunRxStream(p, c, cfg.MsgSize, &stats[c]); err != nil {
-				runErr = err
-			}
-		})
-		procs = append(procs, pr)
-		src := nic.NewSource(mach.Eng, mach.NIC.Queue(c), cfg.Costs, cfg.MsgSize, cfg.MTU, true)
-		src.Start(0)
-	}
-	window := cycles.FromMillis(cfg.WindowMs)
-	mach.Eng.Run(window)
-	res := collect(mach, cfg, procs, window)
-	mach.Teardown()
-	if setupErr != nil {
-		return res, setupErr
-	}
-	if runErr != nil {
-		return res, runErr
-	}
-	var bytes, frames, msgs uint64
-	for _, s := range stats {
-		bytes += s.Bytes
-		frames += s.Frames
-		msgs += s.Messages
-	}
-	res.Gbps = cycles.Gbps(bytes, window)
-	res.Ops = frames
-	res.Messages = msgs
-	finishPerOp(&res)
-	return res, nil
+	cores := mach.SpawnCores("rx", 0, cfg.Cores, func(p *sim.Proc, c int) error {
+		if err := mach.Driver.SetupQueue(p, c); err != nil {
+			return err
+		}
+		return mach.Driver.RunRxStream(p, c, cfg.MsgSize, &stats[c])
+	}, func(c int) {
+		nic.NewSource(mach.Eng, mach.NIC.Queue(c), cfg.Costs, cfg.MsgSize, cfg.MTU, true).Start(0)
+	})
+	return collect(mach, cfg, cores, func(res *Result, window uint64) {
+		var bytes uint64
+		for _, s := range stats {
+			bytes += s.Bytes
+			res.Ops += s.Frames
+			res.Messages += s.Messages
+		}
+		res.Gbps = cycles.Gbps(bytes, window)
+	})
 }
 
 func runTx(mach *Machine, cfg Config) (Result, error) {
 	stats := make([]netstack.TxStats, cfg.Cores)
-	var runErr error
-	var procs []*sim.Proc
-	for c := 0; c < cfg.Cores; c++ {
-		c := c
-		pr := mach.Eng.Spawn(fmt.Sprintf("tx%d", c), c, 0, func(p *sim.Proc) {
-			if err := mach.Driver.RunTxStream(p, c, cfg.MsgSize, &stats[c]); err != nil {
-				runErr = err
-			}
-		})
-		procs = append(procs, pr)
-	}
-	window := cycles.FromMillis(cfg.WindowMs)
-	mach.Eng.Run(window)
-	res := collect(mach, cfg, procs, window)
-	mach.Teardown()
-	if runErr != nil {
-		return res, runErr
-	}
-	var bytes, skbs, msgs uint64
-	for _, s := range stats {
-		bytes += s.Bytes
-		skbs += s.Skbs
-		msgs += s.Messages
-	}
-	res.Gbps = cycles.Gbps(bytes, window)
-	res.Ops = skbs
-	res.Messages = msgs
-	finishPerOp(&res)
-	return res, nil
+	cores := mach.SpawnCores("tx", 0, cfg.Cores, func(p *sim.Proc, c int) error {
+		return mach.Driver.RunTxStream(p, c, cfg.MsgSize, &stats[c])
+	}, nil)
+	return collect(mach, cfg, cores, func(res *Result, window uint64) {
+		var bytes uint64
+		for _, s := range stats {
+			bytes += s.Bytes
+			res.Ops += s.Skbs
+			res.Messages += s.Messages
+		}
+		res.Gbps = cycles.Gbps(bytes, window)
+	})
 }
 
 func runRR(mach *Machine, cfg Config) (Result, error) {
 	var st netstack.RRServerStats
-	var setupErr, runErr error
-	pr := mach.Eng.Spawn("rr", 0, 0, func(p *sim.Proc) {
-		if err := mach.Driver.SetupQueue(p, 0); err != nil {
-			setupErr = err
-			return
-		}
-		if err := mach.Driver.RunRRServer(p, 0, cfg.MsgSize, &st); err != nil {
-			runErr = err
-		}
-	})
 	client := netstack.NewRRClient(mach.Eng, mach.NIC, 0, cfg.Costs, cfg.MsgSize)
-	client.Start(cycles.FromMicros(100)) // after queue setup settles
-	window := cycles.FromMillis(cfg.WindowMs)
-	mach.Eng.Run(window)
-	res := collect(mach, cfg, []*sim.Proc{pr}, window)
-	mach.Teardown()
-	if setupErr != nil {
-		return res, setupErr
-	}
-	if runErr != nil {
-		return res, runErr
-	}
-	res.LatencyUs = cycles.Micros(client.MeanLatency())
-	res.LatencyP99Us = stats.SummarizeUint64(client.Samples, cycles.Hz/1e6).P99
-	res.Transactions = client.Transactions
-	res.Ops = client.Transactions
-	res.Messages = st.Rx.Messages
-	res.Gbps = cycles.Gbps(st.Rx.Bytes+st.Tx.Bytes, window)
-	finishPerOp(&res)
-	return res, nil
+	cores := mach.SpawnCores("rr", 0, 1, func(p *sim.Proc, c int) error {
+		if err := mach.Driver.SetupQueue(p, c); err != nil {
+			return err
+		}
+		return mach.Driver.RunRRServer(p, c, cfg.MsgSize, &st)
+	}, func(int) {
+		client.Start(cycles.FromMicros(100)) // after queue setup settles
+	})
+	return collect(mach, cfg, cores, func(res *Result, window uint64) {
+		res.LatencyUs = cycles.Micros(client.MeanLatency())
+		res.LatencyP99Us = stats.SummarizeUint64(client.Samples, cycles.Hz/1e6).P99
+		res.Transactions = client.Transactions
+		res.Ops = client.Transactions
+		res.Messages = st.Rx.Messages
+		res.Gbps = cycles.Gbps(st.Rx.Bytes+st.Tx.Bytes, window)
+	})
 }
 
-// MaxWindowMs is the longest window a run accepts: collect sums the busy
+// MaxWindowMs is the longest window a run accepts: Measure sums the busy
 // cycles of up to nic.MaxQueues cores into a uint64.
 const MaxWindowMs = math.MaxUint64 / (cycles.Hz / 1e3) / nic.MaxQueues
 
-// collect gathers CPU and component accounting from the worker procs.
-func collect(mach *Machine, cfg Config, procs []*sim.Proc, window uint64) Result {
-	res := Result{
-		Config: cfg,
-		PerOp:  make(map[string]float64),
+// Cores is the set of workload procs SpawnCores started, one per core.
+type Cores struct {
+	Procs []*sim.Proc
+	// Err is the first error a proc body returned; it is set while the
+	// window runs, so read it after Measure.
+	Err error
+}
+
+// SpawnCores spawns n workload procs: proc c is named name<c>, runs
+// body(p, c) on core first+c and keeps the first error a body returns.
+// started(c), when non-nil, runs right after proc c is spawned; it starts
+// that core's traffic source or client, so every core's events are
+// scheduled in spawn order.
+func (m *Machine) SpawnCores(name string, first, n int, body func(p *sim.Proc, c int) error, started func(c int)) *Cores {
+	cs := &Cores{Procs: make([]*sim.Proc, 0, n)}
+	for c := 0; c < n; c++ {
+		pr := m.Eng.Spawn(name+strconv.Itoa(c), first+c, 0, func(p *sim.Proc) {
+			if err := body(p, c); err != nil && cs.Err == nil {
+				cs.Err = err
+			}
+		})
+		cs.Procs = append(cs.Procs, pr)
+		if started != nil {
+			started(c)
+		}
 	}
-	var busy uint64
+	return cs
+}
+
+// Measurement is what Measure reads at the end of a measured window.
+type Measurement struct {
+	Cycles uint64 // simulated cycles run
+	Busy   uint64 // the measured procs' summed busy cycles
+	// CPUPct is Busy over Cycles times the number of procs, unclamped:
+	// a proc's busy cycles can run past the window's end.
+	CPUPct float64
+	// Profile is the cycle-attribution snapshot, with TotalBusy = Busy;
+	// nil unless the machine is observed.
+	Profile *obs.Profile
+}
+
+// Measure runs the machine for windowMs of simulated time from t=0 and
+// reads what every windowed runner reads at its end: the procs' busy
+// cycles and, on an observed machine, the profile. It is the one place
+// a runner's measured window is decided.
+func (m *Machine) Measure(windowMs float64, procs []*sim.Proc) Measurement {
+	w := Measurement{Cycles: cycles.FromMillis(windowMs)}
+	m.Eng.Run(w.Cycles)
 	for _, p := range procs {
-		busy += p.Busy()
+		w.Busy += p.Busy()
+	}
+	w.CPUPct = 100 * float64(w.Busy) / (float64(w.Cycles) * float64(len(procs)))
+	if m.Obs != nil {
+		pr := m.Obs.Prof.Snapshot()
+		pr.TotalBusy = w.Busy
+		w.Profile = &pr
+	}
+	return w
+}
+
+// collect measures the window of a network runner's procs and gathers
+// the CPU, per-operation and mapper/NIC/IOMMU accounting the three share;
+// fill adds the runner's own byte and operation counts. It returns the
+// first error a proc body returned.
+func collect(mach *Machine, cfg Config, cores *Cores, fill func(res *Result, window uint64)) (Result, error) {
+	w := mach.Measure(cfg.WindowMs, cores.Procs)
+	res := Result{
+		Config:  cfg,
+		CPUPct:  min(w.CPUPct, 100),
+		PerOp:   make(map[string]float64),
+		Profile: w.Profile,
+	}
+	for _, p := range cores.Procs {
 		for tag, c := range p.Tagged() {
 			res.PerOp[tag] += cycles.Micros(c) // temporarily total us; divided later
 		}
-	}
-	res.CPUPct = 100 * float64(busy) / (float64(window) * float64(len(procs)))
-	if res.CPUPct > 100 {
-		res.CPUPct = 100
 	}
 	res.MapperStats = mach.Mapper.Stats()
 	res.PoolBytes = res.MapperStats.ShadowPoolBytes
@@ -346,12 +357,12 @@ func collect(mach *Machine, cfg Config, procs []*sim.Proc, window uint64) Result
 	if sm != nil {
 		res.PoolBytesByClass = slices.Clone(sm.Pool().Stats().BytesByClass)
 	}
-	if o := mach.Obs; o != nil {
-		pr := o.Prof.Snapshot()
-		pr.TotalBusy = busy
-		res.Profile = &pr
+	if cores.Err != nil {
+		return res, cores.Err
 	}
-	return res
+	fill(&res, w.Cycles)
+	finishPerOp(&res)
+	return res, nil
 }
 
 // finishPerOp converts the accumulated per-tag totals into per-operation

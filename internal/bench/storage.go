@@ -34,6 +34,7 @@ func RunStorage(system string, cores, ioSize, readPct int, windowMs float64) (St
 	if err != nil {
 		return StorageResult{}, err
 	}
+	defer mach.Teardown()
 	dev := ssd.New(mach.Eng, mach.IOMMU, ssd.Config{
 		Dev:    mach.Env.Dev,
 		Queues: cores,
@@ -41,28 +42,13 @@ func RunStorage(system string, cores, ioSize, readPct int, windowMs float64) (St
 	})
 	bd := ssd.NewBlockDriver(mach.Env, mach.Mapper, dev, mach.Kmal)
 	stats := make([]ssd.WorkloadStats, cores)
-	var procs []*sim.Proc
-	var runErr error
-	for c := 0; c < cores; c++ {
-		c := c
-		pr := mach.Eng.Spawn(fmt.Sprintf("blk%d", c), c, 0, func(p *sim.Proc) {
-			wcfg := ssd.WorkloadConfig{IOSize: ioSize, ReadPct: readPct, Depth: 32, Seed: 42}
-			if err := bd.RunWorkload(p, c, wcfg, &stats[c]); err != nil {
-				runErr = err
-			}
-		})
-		procs = append(procs, pr)
-	}
-	window := cycles.FromMillis(windowMs)
-	mach.Eng.Run(window)
-	var busy uint64
-	for _, p := range procs {
-		busy += p.Busy()
-	}
-	ms := mach.Mapper.Stats()
-	mach.Teardown()
-	if runErr != nil {
-		return StorageResult{}, runErr
+	blk := mach.SpawnCores("blk", 0, cores, func(p *sim.Proc, c int) error {
+		wcfg := ssd.WorkloadConfig{IOSize: ioSize, ReadPct: readPct, Depth: 32, Seed: 42}
+		return bd.RunWorkload(p, c, wcfg, &stats[c])
+	}, nil)
+	w := mach.Measure(windowMs, blk.Procs)
+	if blk.Err != nil {
+		return StorageResult{}, blk.Err
 	}
 	var ops, bytes, errs uint64
 	for _, s := range stats {
@@ -74,11 +60,11 @@ func RunStorage(system string, cores, ioSize, readPct int, windowMs float64) (St
 		System:     system,
 		IOSize:     ioSize,
 		ReadPct:    readPct,
-		IOPS:       cycles.PerSec(ops, window),
-		GBps:       float64(bytes) / (float64(window) / cycles.Hz) / 1e9,
-		CPUPct:     100 * float64(busy) / (float64(window) * float64(cores)),
+		IOPS:       cycles.PerSec(ops, w.Cycles),
+		GBps:       float64(bytes) / (float64(w.Cycles) / cycles.Hz) / 1e9,
+		CPUPct:     w.CPUPct,
 		Errors:     errs,
-		HybridMaps: ms.HybridMaps,
+		HybridMaps: mach.Mapper.Stats().HybridMaps,
 	}, nil
 }
 

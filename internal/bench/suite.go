@@ -41,7 +41,7 @@ func Suite(includeSensitivity bool) []Section {
 		{"apimicro", func(o Options) (*Table, error) {
 			// The microbenchmark covers the related-work systems too and
 			// is window-independent (fixed pair count).
-			return APIMicro(Options{Systems: ExtendedSystems, Costs: o.Costs, Farm: o.Farm})
+			return APIMicro(Options{Systems: ExtendedSystems, Farm: o.Farm})
 		}},
 		{"storage", StorageStudy},
 		{"mixed", MixedStudy},

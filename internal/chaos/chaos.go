@@ -1,9 +1,9 @@
 // Package chaos assembles fault-injection scenarios for the resilience
-// stack: a victim machine (NIC + driver + protection strategy, the same
-// assembly internal/bench uses) shares its IOMMU with a misbehaving
-// device or an injected pressure source, and each scenario measures how
-// goodput and recovery behave with the fault-domain machinery enabled
-// versus disabled.
+// stack: a victim machine (internal/bench's evaluation machine, running
+// bench's RX stream) shares its IOMMU with a misbehaving device or an
+// injected pressure source, and each scenario measures how goodput and
+// recovery behave with the fault-domain machinery enabled versus
+// disabled.
 //
 // Every scenario runs three variants of the same seeded workload:
 //
@@ -23,7 +23,6 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/dmaapi"
 	"repro/internal/iommu"
-	"repro/internal/mem"
 	"repro/internal/netstack"
 	"repro/internal/nic"
 	"repro/internal/obs"
@@ -31,12 +30,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Device IDs: the victim NIC is device 1 (as in internal/bench); the
-// misbehaving device sits next to it on the same IOMMU.
-const (
-	VictimDev iommu.DeviceID = 1
-	AttackDev iommu.DeviceID = 2
-)
+// AttackDev is the misbehaving device. It sits next to the victim NIC,
+// bench's device 1, on the same IOMMU.
+const AttackDev iommu.DeviceID = 2
 
 // Config parameterizes one scenario run. Zero fields take defaults.
 type Config struct {
@@ -93,18 +89,10 @@ func chaosPolicy() resilience.Policy {
 	}
 }
 
-// machine is one assembled victim machine plus the shared IOMMU the
-// attacker rides on.
+// machine is bench's evaluation machine plus what chaos adds to it.
 type machine struct {
-	eng    *sim.Engine
-	mem    *mem.Memory
-	u      *iommu.IOMMU
-	env    *dmaapi.Env
-	mapper dmaapi.Mapper
-	nic    *nic.NIC
-	drv    *netstack.Driver
-	obs    *obs.Observer
-	sup    *resilience.Supervisor // nil in unprotected variants
+	*bench.Machine
+	sup *resilience.Supervisor // nil in unprotected variants
 
 	// onSetupDone, when set (by a scenario's arm callback), fires once in
 	// proc context when the last queue finishes SetupQueue — the anchor
@@ -115,7 +103,7 @@ type machine struct {
 // variant selects how one scenario run is armed.
 type variant struct {
 	// mapperFn overrides the victim's protection strategy construction
-	// (nil means bench.NewMapper(cfg.System)).
+	// (nil keeps bench.NewMachine's mapper for cfg.System).
 	mapperFn func(env *dmaapi.Env) (dmaapi.Mapper, error)
 	// resilient attaches the fault-domain supervisor.
 	resilient bool
@@ -125,126 +113,94 @@ type variant struct {
 	observe bool
 }
 
+// newMachine builds the victim with bench.NewMachine. The caller tears it
+// down.
 func newMachine(cfg Config, v variant) (*machine, error) {
-	eng := sim.NewEngine()
-	m := mem.New(2)
-	u := iommu.New(eng, m, cfg.Costs)
-	// One hardware page-walker, as on real IOMMUs: concurrent misses
-	// serialize, which is exactly the shared resource a fault storm
-	// exhausts. Applied to every variant so baselines are comparable.
-	u.WalkSerialize = true
-	var o *obs.Observer
+	bcfg := bench.DefaultConfig(cfg.System, bench.RX, cfg.Cores, cfg.MsgSize)
+	bcfg.RingSize = cfg.RingSize
+	bcfg.Costs = cfg.Costs
 	if v.observe {
-		o = obs.New(false)
-		eng.SetObserver(o) // must precede Spawn: procs copy the sink
+		bcfg.Obs = obs.New(false)
 	}
-	env := &dmaapi.Env{Eng: eng, Mem: m, IOMMU: u, Costs: cfg.Costs, Dev: VictimDev, Cores: cfg.Cores}
-	var mapper dmaapi.Mapper
-	var err error
-	if v.mapperFn != nil {
-		mapper, err = v.mapperFn(env)
-	} else {
-		mapper, err = bench.NewMapper(cfg.System, env)
-	}
+	m, err := bench.NewMachine(bcfg)
 	if err != nil {
 		return nil, err
 	}
-	n := nic.New(eng, u, nic.Config{
-		Dev: VictimDev, Queues: cfg.Cores, RingSize: cfg.RingSize, MTU: 1500, TSO: true, Costs: cfg.Costs,
-	})
-	k := mem.NewKmalloc(m, nil)
-	drv := netstack.NewDriver(env, mapper, n, k, 2048)
+	if v.mapperFn != nil {
+		// Swap the mapper, and the driver holding it, before any proc
+		// spawns. The default copy mapper the squeeze variants replace
+		// built host structures only: no simulated memory, no mappings.
+		mapper, err := v.mapperFn(m.Env)
+		if err != nil {
+			m.Teardown()
+			return nil, err
+		}
+		m.Mapper = mapper
+		m.Driver = netstack.NewDriver(m.Env, mapper, m.NIC, m.Kmal, 2048)
+	}
+	// One hardware page-walker, as on real IOMMUs: concurrent misses
+	// serialize, which is exactly the shared resource a fault storm
+	// exhausts. Applied to every variant so baselines are comparable.
+	m.IOMMU.WalkSerialize = true
 	// The host services IOMMU fault records in interrupt context: ~0.6 us
 	// per record (read, log, clear). This is the CPU a fault storm steals
 	// until quarantine cuts it off at the root.
-	drv.FaultServiceCost = 1500
-	mc := &machine{eng: eng, mem: m, u: u, env: env, mapper: mapper, nic: n, drv: drv, obs: o}
+	m.Driver.FaultServiceCost = 1500
+	mc := &machine{Machine: m}
 	if v.resilient {
-		mc.sup = resilience.Attach(u, eng, v.policy)
+		mc.sup = resilience.Attach(m.IOMMU, m.Eng, v.policy)
 	}
 	return mc, nil
 }
 
-// runStats is the victim-side outcome of one variant run.
-type runStats struct {
-	Gbps     float64
-	Frames   uint64
-	Bytes    uint64
-	Busy     uint64
-	SetupErr error // non-nil when queue setup failed (hard pool exhaustion)
-	RunErr   error // non-nil when the datapath died mid-run
-	Profile  *obs.Profile
-}
-
-// runVictim spawns the RX stream workload (bench's runRx shape), lets
-// `arm` schedule attack/pressure events, and runs the window.
-func (mc *machine) runVictim(cfg Config, window uint64, arm func(*machine)) runStats {
+// runVictim spawns bench's RX stream workload, lets `arm` schedule
+// attack/pressure events, measures the window, and flattens the run into
+// the benchdiff-gated metric map; time_to_quarantine_us counts from
+// attackStart.
+func (mc *machine) runVictim(cfg Config, attackStart uint64, arm func(*machine)) map[string]float64 {
 	stats := make([]netstack.RxStats, cfg.Cores)
-	var setupErr, runErr error
-	var procs []*sim.Proc
 	setupsLeft := cfg.Cores
-	for c := 0; c < cfg.Cores; c++ {
-		c := c
-		pr := mc.eng.Spawn(fmt.Sprintf("rx%d", c), c, 0, func(p *sim.Proc) {
-			if err := mc.drv.SetupQueue(p, c); err != nil {
-				setupErr = err
-				return
-			}
-			setupsLeft--
-			if setupsLeft == 0 && mc.onSetupDone != nil {
-				mc.onSetupDone(p.Now())
-			}
-			if err := mc.drv.RunRxStream(p, c, cfg.MsgSize, &stats[c]); err != nil {
-				runErr = err
-			}
-		})
-		procs = append(procs, pr)
-		src := nic.NewSource(mc.eng, mc.nic.Queue(c), cfg.Costs, cfg.MsgSize, 1500, true)
-		src.Start(0)
-	}
+	cores := mc.SpawnCores("rx", 0, cfg.Cores, func(p *sim.Proc, c int) error {
+		if err := mc.Driver.SetupQueue(p, c); err != nil {
+			return err
+		}
+		setupsLeft--
+		if setupsLeft == 0 && mc.onSetupDone != nil {
+			mc.onSetupDone(p.Now())
+		}
+		return mc.Driver.RunRxStream(p, c, cfg.MsgSize, &stats[c])
+	}, func(c int) {
+		nic.NewSource(mc.Eng, mc.NIC.Queue(c), cfg.Costs, cfg.MsgSize, 1500, true).Start(0)
+	})
 	if arm != nil {
 		arm(mc)
 	}
-	mc.eng.Run(window)
-	rs := runStats{SetupErr: setupErr, RunErr: runErr}
-	for i := range stats {
-		rs.Bytes += stats[i].Bytes
-		rs.Frames += stats[i].Frames
+	w := mc.Measure(cfg.WindowMs, cores.Procs)
+	var bytes, frames uint64
+	for _, s := range stats {
+		bytes += s.Bytes
+		frames += s.Frames
 	}
-	for _, p := range procs {
-		rs.Busy += p.Busy()
-	}
-	rs.Gbps = cycles.Gbps(rs.Bytes, window)
-	if mc.obs != nil {
-		pr := mc.obs.Prof.Snapshot()
-		pr.TotalBusy = rs.Busy
-		rs.Profile = &pr
-	}
-	mc.eng.Stop()
-	mc.mem.Release()
-	return rs
-}
-
-// metrics flattens the run into the benchdiff-gated metric map.
-func (mc *machine) metrics(rs runStats, attackStart uint64) map[string]float64 {
 	ms := map[string]float64{
-		"gbps":                float64(rs.Gbps),
-		"frames":              float64(rs.Frames),
-		"faults":              float64(mc.u.FaultCount),
-		"blocked_dmas":        float64(mc.u.BlockedDMAs),
-		"faultring_overflow":  float64(mc.u.FaultRing().Overflow()),
-		"rx_nobuf_drops":      float64(mc.nic.RxNoBufDrops),
-		"rx_quarantine_drops": float64(mc.nic.RxQuarantineDrops),
-		"invq_timeouts":       float64(mc.u.Queue.Timeouts),
-		"invq_recoveries":     float64(mc.u.Queue.Recoveries),
-		"backpressure_drops":  float64(mc.drv.BackpressureDrops),
-		"faults_serviced":     float64(mc.drv.FaultsServiced),
+		"gbps":                cycles.Gbps(bytes, w.Cycles),
+		"frames":              float64(frames),
+		"faults":              float64(mc.IOMMU.FaultCount),
+		"blocked_dmas":        float64(mc.IOMMU.BlockedDMAs),
+		"faultring_overflow":  float64(mc.IOMMU.FaultRing().Overflow()),
+		"rx_nobuf_drops":      float64(mc.NIC.RxNoBufDrops),
+		"rx_quarantine_drops": float64(mc.NIC.RxQuarantineDrops),
+		"invq_timeouts":       float64(mc.IOMMU.Queue.Timeouts),
+		"invq_recoveries":     float64(mc.IOMMU.Queue.Recoveries),
+		"backpressure_drops":  float64(mc.Driver.BackpressureDrops),
+		"faults_serviced":     float64(mc.Driver.FaultsServiced),
 	}
-	st := mc.mapper.Stats()
+	st := mc.Mapper.Stats()
 	ms["degraded_retries"] = float64(st.DegradedRetries)
 	ms["degraded_spills"] = float64(st.DegradedSpills)
 	ms["backpressure_fails"] = float64(st.BackpressureFails)
-	if rs.SetupErr != nil || rs.RunErr != nil {
+	// A failed queue setup (hard pool exhaustion) or a datapath that died
+	// mid-run.
+	if cores.Err != nil {
 		ms["datapath_dead"] = 1
 	} else {
 		ms["datapath_dead"] = 0
@@ -257,8 +213,8 @@ func (mc *machine) metrics(rs runStats, attackStart uint64) map[string]float64 {
 			ms["time_to_quarantine_us"] = cycles.Micros(ds.QuarantinedAt - attackStart)
 		}
 	}
-	if rs.Profile != nil {
-		ms["resilience_cycles"] = float64(rs.Profile.GroupCycles("resilience"))
+	if w.Profile != nil {
+		ms["resilience_cycles"] = float64(w.Profile.GroupCycles("resilience"))
 	}
 	return ms
 }

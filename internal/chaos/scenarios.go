@@ -22,13 +22,6 @@ type Scenario struct {
 	Run   func(Config) (*bench.Table, error)
 }
 
-// scenarioOut is one variant's result, merged in canonical variant order
-// after all of a scenario's farm tasks finish.
-type scenarioOut struct {
-	gbps float64
-	ms   map[string]float64
-}
-
 // Scenarios lists every chaos experiment, in report order.
 var Scenarios = []Scenario{
 	{"faultstorm", "Fault storm from a hostile device", FaultStorm},
@@ -60,11 +53,11 @@ func scheduleStorm(mc *machine, rng *rand.Rand, start, end, period uint64, burst
 		}
 		for i := 0; i < burst; i++ {
 			iova := iommu.IOVA((uint64(rng.Intn(1 << 20))) << mem.PageShift)
-			mc.u.DMAWrite(AttackDev, iova, junk)
+			mc.IOMMU.DMAWrite(AttackDev, iova, junk)
 		}
-		mc.eng.Schedule(now+period, tick)
+		mc.Eng.Schedule(now+period, tick)
 	}
-	mc.eng.Schedule(start, tick)
+	mc.Eng.Schedule(start, tick)
 }
 
 // FaultStorm: device A floods the IOMMU with faulting DMAs while device B
@@ -100,20 +93,20 @@ func FaultStorm(cfg Config) (*bench.Table, error) {
 		{"resilience", true, true},
 		{"unprotected", true, false},
 	}
-	outs := make([]scenarioOut, len(variants))
+	outs := make([]map[string]float64, len(variants))
 	err := cfg.Farm.Map(len(variants), func(i int) error {
 		v := variants[i]
 		mc, err := newMachine(cfg, variant{resilient: v.resilient, policy: pol})
 		if err != nil {
 			return fmt.Errorf("faultstorm/%s: %w", v.name, err)
 		}
-		rs := mc.runVictim(cfg, window, func(mc *machine) {
+		defer mc.Teardown()
+		outs[i] = mc.runVictim(cfg, attackStart, func(mc *machine) {
 			if v.attack {
 				rng := rand.New(rand.NewSource(cfg.Seed))
 				scheduleStorm(mc, rng, attackStart, window, 1000, 16)
 			}
 		})
-		outs[i] = scenarioOut{gbps: rs.Gbps, ms: mc.metrics(rs, attackStart)}
 		return nil
 	})
 	if err != nil {
@@ -121,16 +114,16 @@ func FaultStorm(cfg Config) (*bench.Table, error) {
 	}
 	// Containment is relative to the baseline variant's goodput, so it can
 	// only be computed after the merge — variants run concurrently.
-	baseGbps := outs[0].gbps
+	baseGbps := outs[0]["gbps"]
 	for i, v := range variants {
-		ms := outs[i].ms
+		ms := outs[i]
 		contain := 0.0
 		if baseGbps > 0 {
-			contain = 100 * outs[i].gbps / baseGbps
+			contain = 100 * ms["gbps"] / baseGbps
 		}
 		ms["containment_pct"] = contain
 		t.Point(v.name, cfg.System, ms)
-		t.AddRow(v.name, fmtGbps(outs[i].gbps), fmt.Sprintf("%.1f", contain),
+		t.AddRow(v.name, fmtGbps(ms["gbps"]), fmt.Sprintf("%.1f", contain),
 			fmt.Sprintf("%.0f", ms["faults"]), fmt.Sprintf("%.0f", ms["blocked_dmas"]),
 			fmt.Sprintf("%.0f", ms["quarantines"]), fmt.Sprintf("%.0f", ms["readmits"]),
 			fmt.Sprintf("%.1f", ms["time_to_quarantine_us"]), fmt.Sprintf("%.0f", ms["faultring_overflow"]))
@@ -158,7 +151,7 @@ func scheduleScan(mc *machine, sc *scanner, base iommu.IOVA, span int, start, en
 			iova := base + iommu.IOVA(uint64(cursor)<<mem.PageShift)
 			cursor = (cursor + 1) % span
 			sc.attempts++
-			res := mc.u.DMAWrite(AttackDev, iova, junk)
+			res := mc.IOMMU.DMAWrite(AttackDev, iova, junk)
 			switch {
 			case res.Fault == nil:
 				sc.hits++
@@ -168,9 +161,9 @@ func scheduleScan(mc *machine, sc *scanner, base iommu.IOVA, span int, start, en
 				sc.faults++
 			}
 		}
-		mc.eng.Schedule(now+period, tick)
+		mc.Eng.Schedule(now+period, tick)
 	}
-	mc.eng.Schedule(start, tick)
+	mc.Eng.Schedule(start, tick)
 }
 
 // IOVAScan: a compromised device sweeps a 512-page IOVA range looking for
@@ -210,45 +203,45 @@ func IOVAScan(cfg Config) (*bench.Table, error) {
 		{"resilience", true, true},
 		{"unprotected", true, false},
 	}
-	outs := make([]scenarioOut, len(variants))
+	outs := make([]map[string]float64, len(variants))
 	err := cfg.Farm.Map(len(variants), func(i int) error {
 		v := variants[i]
 		mc, err := newMachine(cfg, variant{resilient: v.resilient, policy: pol})
 		if err != nil {
 			return fmt.Errorf("iovascan/%s: %w", v.name, err)
 		}
+		defer mc.Teardown()
 		// The attacker's own live window: a normally-operating device has
 		// some mappings; the scanner hunts for exactly such windows.
-		phys, err := mc.mem.AllocPages(0, winPages)
+		phys, err := mc.Mem.AllocPages(0, winPages)
 		if err != nil {
 			return err
 		}
 		off := (scanSpan / 2) << mem.PageShift
-		if err := mc.u.Map(AttackDev, scanBase+iommu.IOVA(off), phys,
+		if err := mc.IOMMU.Map(AttackDev, scanBase+iommu.IOVA(off), phys,
 			winPages*mem.PageSize, iommu.PermRead|iommu.PermWrite); err != nil {
 			return err
 		}
 		sc := &scanner{}
-		rs := mc.runVictim(cfg, window, func(mc *machine) {
+		ms := mc.runVictim(cfg, attackStart, func(mc *machine) {
 			if v.attack {
 				scheduleScan(mc, sc, scanBase, scanSpan, attackStart, window, 2000, 8)
 			}
 		})
-		ms := mc.metrics(rs, attackStart)
 		ms["scan_attempts"] = float64(sc.attempts)
 		ms["scan_hits"] = float64(sc.hits)
 		ms["scan_faults"] = float64(sc.faults)
 		ms["scan_blocked"] = float64(sc.blocked)
-		outs[i] = scenarioOut{gbps: rs.Gbps, ms: ms}
+		outs[i] = ms
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, v := range variants {
-		ms := outs[i].ms
+		ms := outs[i]
 		t.Point(v.name, cfg.System, ms)
-		t.AddRow(v.name, fmtGbps(outs[i].gbps),
+		t.AddRow(v.name, fmtGbps(ms["gbps"]),
 			fmt.Sprintf("%.0f", ms["scan_attempts"]), fmt.Sprintf("%.0f", ms["scan_hits"]),
 			fmt.Sprintf("%.0f", ms["scan_faults"]), fmt.Sprintf("%.0f", ms["scan_blocked"]),
 			fmt.Sprintf("%.0f", ms["quarantines"]))
@@ -284,33 +277,33 @@ func QueueStall(cfg Config) (*bench.Table, error) {
 		{"resilience", true, true},
 		{"unprotected", true, false},
 	}
-	outs := make([]scenarioOut, len(variants))
+	outs := make([]map[string]float64, len(variants))
 	err := cfg.Farm.Map(len(variants), func(i int) error {
 		v := variants[i]
 		mc, err := newMachine(cfg, variant{resilient: true, policy: chaosPolicy()})
 		if err != nil {
 			return fmt.Errorf("queuestall/%s: %w", v.name, err)
 		}
+		defer mc.Teardown()
 		if v.ite {
-			mc.u.Queue.Timeout = 2048
-			mc.u.Queue.MaxRetries = 1
+			mc.IOMMU.Queue.Timeout = 2048
+			mc.IOMMU.Queue.MaxRetries = 1
 		}
-		rs := mc.runVictim(cfg, window, func(mc *machine) {
+		outs[i] = mc.runVictim(cfg, phaseStart, func(mc *machine) {
 			if v.stallOn {
-				mc.eng.Schedule(phaseStart, func(uint64) { mc.u.Queue.StallCycles = stall })
-				mc.eng.Schedule(phaseEnd, func(uint64) { mc.u.Queue.StallCycles = 0 })
+				mc.Eng.Schedule(phaseStart, func(uint64) { mc.IOMMU.Queue.StallCycles = stall })
+				mc.Eng.Schedule(phaseEnd, func(uint64) { mc.IOMMU.Queue.StallCycles = 0 })
 			}
 		})
-		outs[i] = scenarioOut{gbps: rs.Gbps, ms: mc.metrics(rs, phaseStart)}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, v := range variants {
-		ms := outs[i].ms
+		ms := outs[i]
 		t.Point(v.name, cfg.System, ms)
-		t.AddRow(v.name, fmtGbps(outs[i].gbps),
+		t.AddRow(v.name, fmtGbps(ms["gbps"]),
 			fmt.Sprintf("%.0f", ms["invq_timeouts"]), fmt.Sprintf("%.0f", ms["invq_recoveries"]),
 			fmt.Sprintf("%.0f", ms["frames"]))
 	}
@@ -374,7 +367,7 @@ func PoolSqueeze(cfg Config) (*bench.Table, error) {
 		{"resilience", true, true},
 		{"unprotected", true, false},
 	}
-	outs := make([]scenarioOut, len(variants))
+	outs := make([]map[string]float64, len(variants))
 	err := cfg.Farm.Map(len(variants), func(i int) error {
 		sv := variants[i]
 		v := variant{resilient: true, policy: chaosPolicy(), observe: true}
@@ -385,29 +378,29 @@ func PoolSqueeze(cfg Config) (*bench.Table, error) {
 		if err != nil {
 			return fmt.Errorf("poolsqueeze/%s: %w", sv.name, err)
 		}
-		rs := mc.runVictim(cfg, window, func(mc *machine) {
+		defer mc.Teardown()
+		outs[i] = mc.runVictim(cfg, 0, func(mc *machine) {
 			if sv.squeeze {
 				// Anchor the pressure phase on actual bring-up completion
 				// so the injected failures hit pool growth, never the
 				// driver's own setup kmallocs.
 				mc.onSetupDone = func(now uint64) {
-					mc.eng.Schedule(now+window/10, func(uint64) {
-						mc.mem.AllocFail = func(domain, pages int) bool { return true }
+					mc.Eng.Schedule(now+window/10, func(uint64) {
+						mc.Mem.AllocFail = func(domain, pages int) bool { return true }
 					})
-					mc.eng.Schedule(now+window/10+window/3, func(uint64) { mc.mem.AllocFail = nil })
+					mc.Eng.Schedule(now+window/10+window/3, func(uint64) { mc.Mem.AllocFail = nil })
 				}
 			}
 		})
-		outs[i] = scenarioOut{gbps: rs.Gbps, ms: mc.metrics(rs, 0)}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, sv := range variants {
-		ms := outs[i].ms
+		ms := outs[i]
 		t.Point(sv.name, cfg.System, ms)
-		t.AddRow(sv.name, fmtGbps(outs[i].gbps),
+		t.AddRow(sv.name, fmtGbps(ms["gbps"]),
 			fmt.Sprintf("%.0f", ms["degraded_retries"]), fmt.Sprintf("%.0f", ms["degraded_spills"]),
 			fmt.Sprintf("%.0f", ms["backpressure_fails"]+ms["backpressure_drops"]),
 			fmt.Sprintf("%.0f", ms["datapath_dead"]), fmt.Sprintf("%.0f", ms["resilience_cycles"]))
