@@ -38,6 +38,12 @@ func runMemcached(system string, cores int, windowMs float64, o *obs.Observer) (
 		return KVResult{}, nil, err
 	}
 	defer mach.Teardown()
+	return memcached(mach, cfg)
+}
+
+// memcached runs cfg.Cores memcached servers on mach for cfg's window.
+func memcached(mach *Machine, cfg Config) (KVResult, *obs.Profile, error) {
+	cores := cfg.Cores
 	scfg := kv.DefaultServerConfig()
 	ccfg := kv.DefaultClientConfig()
 	stores := make([]*kv.Store, cores)
@@ -53,7 +59,7 @@ func runMemcached(system string, cores int, windowMs float64, o *obs.Observer) (
 	servers := mach.SpawnCores("memcached", 0, cores, func(p *sim.Proc, c int) error {
 		return kv.RunServer(p, mach.Driver, stores[c], c, scfg, &stats[c])
 	}, func(c int) { clients[c].Start(cycles.FromMicros(200)) })
-	w := mach.Measure(windowMs, servers.Procs)
+	w := mach.Measure(cfg.WindowMs, servers.Procs)
 	if servers.Err != nil {
 		return KVResult{}, nil, servers.Err
 	}
@@ -65,7 +71,7 @@ func runMemcached(system string, cores int, windowMs float64, o *obs.Observer) (
 		errors += stats[c].Errors
 	}
 	res := KVResult{
-		System:         system,
+		System:         cfg.System,
 		TransactionsPS: cycles.PerSec(tx, w.Cycles),
 		CPUPct:         w.CPUPct,
 		Errors:         errors,

@@ -61,6 +61,11 @@ func runMicro(system string, pat MicroPattern, pairs int, o *obs.Observer) (Micr
 		return MicroResult{}, nil, err
 	}
 	defer mach.Teardown()
+	return micro(mach, system, pat, pairs)
+}
+
+// micro runs the pairs on one proc of mach, to completion.
+func micro(mach *Machine, system string, pat MicroPattern, pairs int) (MicroResult, *obs.Profile, error) {
 	var perPair float64
 	var runErr error
 	pr := mach.Eng.Spawn("micro", 0, 0, func(p *sim.Proc) {
@@ -121,8 +126,8 @@ func runMicro(system string, pat MicroPattern, pairs int, o *obs.Observer) (Micr
 	})
 	mach.Eng.Run(1 << 50)
 	var prof *obs.Profile
-	if o != nil {
-		snap := o.Prof.Snapshot()
+	if mach.Obs != nil {
+		snap := mach.Obs.Prof.Snapshot()
 		snap.TotalBusy = pr.Busy()
 		prof = &snap
 	}

@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 	"slices"
-	"sort"
 
+	"repro/internal/cycles"
 	"repro/internal/obs"
 )
 
@@ -14,8 +14,13 @@ import (
 // render as the same Table/Series schema every other experiment uses, so
 // cycle reports flow into -json artifacts and benchdiff unchanged.
 
+// reportComponents are the cycle report's rows: the figures' components
+// in their order, then the IOVA allocator, which Figures 5, 8 and 10 fold
+// into "other" (finishPerOp) and the report keeps apart.
+var reportComponents = append(slices.Clone(cycles.Components), cycles.TagIOVA)
+
 // profileTable renders per-system profiles (profs[i] is systems[i]'s) as
-// a breakdown-category table: one row per category (percent of the
+// a component table: one row per cycles component (percent of the
 // workload procs' busy cycles), plus attribution coverage and the
 // busy-cycle denominator. The structured series carries the same numbers
 // for the artifact schema.
@@ -23,36 +28,19 @@ func profileTable(name, title string, systems []string, profs []*obs.Profile) *T
 	t := &Table{
 		Name:    name,
 		Title:   title,
-		Note:    "percent of workload-proc busy cycles, by span category (internal/obs)",
-		Columns: append([]string{"category"}, systems...),
+		Note:    "percent of workload-proc busy cycles, by cycles component (internal/obs)",
+		Columns: append([]string{"component"}, systems...),
 	}
-	// Union of categories, ordered by total cycles across systems.
-	totals := make(map[string]uint64)
-	for _, p := range profs {
-		for _, g := range p.Groups() {
-			totals[g.Group] += g.Cycles
-		}
-	}
-	groups := make([]string, 0, len(totals))
-	for g := range totals {
-		groups = append(groups, g)
-	}
-	sort.Slice(groups, func(i, j int) bool {
-		if totals[groups[i]] != totals[groups[j]] {
-			return totals[groups[i]] > totals[groups[j]]
-		}
-		return groups[i] < groups[j]
-	})
-	pct := func(p *obs.Profile, cyc uint64) float64 {
+	pct := func(p *obs.Profile, comp string) float64 {
 		if p.TotalBusy == 0 {
 			return 0
 		}
-		return 100 * float64(cyc) / float64(p.TotalBusy)
+		return 100 * float64(p.Component(comp)) / float64(p.TotalBusy)
 	}
-	for _, g := range groups {
-		row := []string{g}
+	for _, comp := range reportComponents {
+		row := []string{comp}
 		for _, p := range profs {
-			row = append(row, f1(pct(p, p.GroupCycles(g))))
+			row = append(row, f1(pct(p, comp)))
 		}
 		t.AddRow(row...)
 	}
@@ -65,8 +53,8 @@ func profileTable(name, title string, systems []string, profs []*obs.Profile) *T
 			"coverage":     p.Coverage(),
 			"busy_mcycles": float64(p.TotalBusy) / 1e6,
 		}
-		for _, g := range groups {
-			metrics[g+"_pct"] = pct(p, p.GroupCycles(g))
+		for _, comp := range reportComponents {
+			metrics[comp+"_pct"] = pct(p, comp)
 		}
 		t.Point(systems[i], "busy", metrics)
 	}
@@ -125,9 +113,9 @@ var cycleTables = []struct {
 // MTU-sized (1500 B) messages (the Figure 6 collapse point) and at 64 KiB
 // (Figure 8a), single-core RR at 64 KiB (Figure 10), memcached at 16
 // instances (Figure 11) and the DMA-API microbenchmark's MTU receive
-// pattern. For strict and identity+ the invalidate and lock/spin
-// categories dominate the DMA-side cost; for the copy strategy it is copy
-// and copy-mgmt instead. Without an IOMMU, map and unmap are free, so
+// pattern. For strict and identity+ the invalidate iotlb and spinlock
+// components dominate the DMA-side cost; for the copy strategy it is
+// memcpy and copy mgmt instead. Without an IOMMU, map and unmap are free, so
 // no-iommu's microbenchmark column has no busy cycles. Every profiled run
 // is one point on the options' farm.
 func CycleReport(opt Options) ([]*Table, error) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cycles"
 	"repro/internal/obs"
 )
 
@@ -60,10 +61,16 @@ func TestCycleBreakdownOrdering(t *testing.T) {
 		t.Run(sys, func(t *testing.T) {
 			t.Parallel()
 			p := profileAt(t, sys, 1500)
-			inval := p.GroupCycles("invalidate") + p.GroupCycles("lock/spin")
-			for _, other := range []string{"copy", "iova", "pt-mgmt"} {
-				if oc := p.GroupCycles(other) + p.GroupCycles(other+"-mgmt"); inval <= oc {
-					t.Errorf("invalidate+lock/spin (%d) does not dominate %s (%d)", inval, other, oc)
+			inval := p.Component(cycles.TagInvalidate) + p.Component(cycles.TagSpinlock)
+			for _, other := range [][]string{
+				{cycles.TagMemcpy, cycles.TagCopyMgmt}, {cycles.TagIOVA}, {cycles.TagPTMgmt},
+			} {
+				var oc uint64
+				for _, c := range other {
+					oc += p.Component(c)
+				}
+				if inval <= oc {
+					t.Errorf("invalidate iotlb+spinlock (%d) does not dominate %v (%d)", inval, other, oc)
 				}
 			}
 		})
@@ -71,16 +78,106 @@ func TestCycleBreakdownOrdering(t *testing.T) {
 	t.Run(SysCopy, func(t *testing.T) {
 		t.Parallel()
 		p := profileAt(t, SysCopy, 1500)
-		cp := p.GroupCycles("copy") + p.GroupCycles("copy-mgmt")
-		for _, other := range []string{"invalidate", "lock/spin", "iova", "pt-mgmt"} {
-			if oc := p.GroupCycles(other); cp <= oc {
-				t.Errorf("copy+copy-mgmt (%d) does not dominate %s (%d)", cp, other, oc)
+		cp := p.Component(cycles.TagMemcpy) + p.Component(cycles.TagCopyMgmt)
+		for _, other := range []string{cycles.TagInvalidate, cycles.TagSpinlock, cycles.TagIOVA, cycles.TagPTMgmt} {
+			if oc := p.Component(other); cp <= oc {
+				t.Errorf("memcpy+copy mgmt (%d) does not dominate %s (%d)", cp, other, oc)
 			}
 		}
-		if inv := p.GroupCycles("invalidate"); inv != 0 {
+		if inv := p.Component(cycles.TagInvalidate); inv != 0 {
 			t.Errorf("copy strategy attributed %d invalidation cycles; shadowing never invalidates", inv)
 		}
 	})
+}
+
+// TestProfileConservesTaggedCycles: the profile's component split is the
+// figures' tag accounting at another granularity. On every design's
+// stream points (RX 1500 B and 64 KiB on 16 cores, TX and RR at 64 KiB on
+// one) and memcached, each component's span total is at most the procs'
+// TaggedCycles, and the shortfalls — what spans still open at the
+// window's end held — sum to exactly TotalBusy - Attributed. The DMA-API
+// microbenchmark runs to completion, so there every component is exact,
+// on every extended design.
+func TestProfileConservesTaggedCycles(t *testing.T) {
+	type point struct {
+		name  string
+		cfg   Config
+		run   func(*Machine, Config) (*obs.Profile, error)
+		exact bool
+	}
+	stream := func(run func(*Machine, Config) (Result, error)) func(*Machine, Config) (*obs.Profile, error) {
+		return func(m *Machine, cfg Config) (*obs.Profile, error) {
+			r, err := run(m, cfg)
+			return r.Profile, err
+		}
+	}
+	var pts []point
+	for _, sys := range AllSystems {
+		for _, p := range []struct {
+			dir        Direction
+			cores, msg int
+			run        func(*Machine, Config) (Result, error)
+		}{{RX, 16, 1500, runRx}, {RX, 16, 65536, runRx}, {TX, 1, 65536, runTx}, {RR, 1, 65536, runRR}} {
+			pts = append(pts, point{fmt.Sprintf("%s/%v-%dx%d", sys, p.dir, p.cores, p.msg),
+				DefaultConfig(sys, p.dir, p.cores, p.msg), stream(p.run), false})
+		}
+		pts = append(pts, point{sys + "/memcached", DefaultConfig(sys, RX, 16, 1024),
+			func(m *Machine, cfg Config) (*obs.Profile, error) {
+				_, p, err := memcached(m, cfg)
+				return p, err
+			}, false})
+	}
+	for _, sys := range ExtendedSystems {
+		pat := MicroPatterns[0]
+		cfg := DefaultConfig(sys, RX, 1, pat.Sizes[0])
+		cfg.NoHint = true
+		pts = append(pts, point{sys + "/micro", cfg, func(m *Machine, cfg Config) (*obs.Profile, error) {
+			_, p, err := micro(m, cfg.System, pat, 2000)
+			return p, err
+		}, true})
+	}
+	for _, pt := range pts {
+		pt := pt
+		t.Run(pt.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := pt.cfg
+			cfg.WindowMs = 1
+			cfg.Obs = obs.New(false)
+			mach, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := pt.run(mach, cfg)
+			// Read everything after Teardown, as the runners' callers do:
+			// its unwinding exits the open spans, which must not reach p.
+			mach.Teardown()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tagged := map[string]uint64{}
+			for _, pr := range mach.Eng.Procs() {
+				for tag, c := range pr.Tagged() {
+					tagged[tag] += c
+				}
+			}
+			var short uint64
+			for tag, c := range tagged {
+				if got := p.Component(tag); got > c {
+					t.Errorf("%s: spans hold %d cycles, the procs charged %d", tag, got, c)
+				} else {
+					short += c - got
+				}
+			}
+			// Equal sums also mean no span holds a tag no proc charged,
+			// and that the machine's procs are the ones TotalBusy counts.
+			if want := p.TotalBusy - p.Attributed(); short != want {
+				t.Errorf("component shortfalls sum to %d, TotalBusy - Attributed = %d", short, want)
+			}
+			if pt.exact && short != 0 {
+				t.Errorf("the microbenchmark ran to completion, yet components are %d cycles short", short)
+			}
+		})
+	}
 }
 
 // TestCycleReportTables exercises the -cyclereport table builder end to

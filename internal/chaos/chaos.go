@@ -18,6 +18,7 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/cycles"
@@ -214,7 +215,15 @@ func (mc *machine) runVictim(cfg Config, attackStart uint64, arm func(*machine))
 		}
 	}
 	if w.Profile != nil {
-		ms["resilience_cycles"] = float64(w.Profile.GroupCycles("resilience"))
+		// The degradation ladder is a place, not a cost component: sum
+		// the self cycles of spans whose last segment starts "resilience".
+		var rc uint64
+		for _, st := range w.Profile.Spans {
+			if strings.HasPrefix(st.Path[strings.LastIndexByte(st.Path, '/')+1:], "resilience") {
+				rc += st.Self
+			}
+		}
+		ms["resilience_cycles"] = float64(rc)
 	}
 	return ms
 }

@@ -56,9 +56,9 @@ func Execute(ctx context.Context, farm *bench.Farm, spec RunSpec) (*Result, erro
 		if err != nil {
 			return nil, err
 		}
-		art := report.New("attackbench", campaign.CellWindowMs, nil)
-		art.Add(tb.Experiment())
-		return &Result{Artifact: art, Tables: []*bench.Table{tb}, Cells: cells}, nil
+		tables := []*bench.Table{tb}
+		art := bench.Artifact("attackbench", campaign.CellWindowMs, nil, tables)
+		return &Result{Artifact: art, Tables: tables, Cells: cells}, nil
 	case "tenantbench":
 		counts, err := splitInts(spec.Tenants)
 		if err != nil {
@@ -68,7 +68,7 @@ func Execute(ctx context.Context, farm *bench.Farm, spec RunSpec) (*Result, erro
 		if err != nil {
 			return nil, err
 		}
-		art, tables, err := tenant.Bench(tenant.BenchConfig{
+		tables, err := tenant.Bench(tenant.BenchConfig{
 			Seed:         spec.Seed,
 			Schemes:      splitList(spec.Schemes),
 			Attacks:      splitList(spec.Attacks),
@@ -79,6 +79,7 @@ func Execute(ctx context.Context, farm *bench.Farm, spec RunSpec) (*Result, erro
 		if err != nil {
 			return nil, err
 		}
+		art := bench.Artifact("tenantbench", tenant.SweepWindowMs, nil, tables)
 		return &Result{Artifact: art, Tables: tables}, nil
 	}
 	return nil, fmt.Errorf("unknown tool %q", spec.Tool)
@@ -157,10 +158,7 @@ func execChaos(farm *bench.Farm, spec RunSpec) (*Result, error) {
 			return nil, err
 		}
 	}
-	art := report.New("chaosbench", spec.WindowMs, cfg.Costs)
-	for _, t := range tables {
-		art.Add(t.Experiment())
-	}
+	art := bench.Artifact("chaosbench", spec.WindowMs, cfg.Costs, tables)
 	return &Result{Artifact: art, Tables: tables}, nil
 }
 

@@ -8,10 +8,10 @@
 //   - Profiler — a cycle-attribution profiler fed by hierarchical spans
 //     (sim.SpanSink). Subsystems open spans around their cost sites
 //     ("map/iova-alloc", "unmap/inval/inval-wait", "spin:iova", ...) and
-//     the profiler accumulates exclusive ("self") and inclusive busy
-//     cycles per span path and per core. Group() folds paths into the
-//     paper's breakdown categories (iova, pt-mgmt, invalidate, lock/spin,
-//     copy, copy-mgmt, ...).
+//     the profiler accumulates each span path's exclusive ("self") busy
+//     cycles, split by the cycles component (cycles.Tag*) they were
+//     charged under: the path says where the cycles went, the component
+//     what they were, in the vocabulary of Figures 5, 8 and 10.
 //
 //   - Recorder — captures the same spans as timeline slices, plus the
 //     IOMMU's typed events (iommu.Event: maps, unmaps, invalidations,
@@ -58,8 +58,8 @@ func New(trace bool) *Observer {
 }
 
 // SpanEnd implements sim.SpanSink.
-func (o *Observer) SpanEnd(p *sim.Proc, path string, self, total, start, end uint64) {
-	o.Prof.add(path, p.Core(), self, total)
+func (o *Observer) SpanEnd(p *sim.Proc, path string, tags []string, self []uint64, start, end uint64) {
+	o.Prof.add(path, tags, self)
 	if o.Rec != nil {
 		o.Rec.slice(path, p.Core(), start, end)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/iommu"
@@ -10,8 +11,8 @@ import (
 )
 
 // TestSpanAttribution checks the core invariant: exclusive (self) cycles
-// are disjoint across nested spans and sum to the inclusive cost of the
-// root span.
+// are disjoint across nested spans, each split by the component it was
+// charged under, and sum to the proc's busy cycles.
 func TestSpanAttribution(t *testing.T) {
 	eng := sim.NewEngine()
 	o := New(false)
@@ -35,20 +36,47 @@ func TestSpanAttribution(t *testing.T) {
 	for _, s := range pf.Spans {
 		got[s.Path] = s
 	}
-	if s := got["map/iova-alloc"]; s.Self != 100 || s.Total != 100 || s.Count != 1 {
-		t.Errorf("iova-alloc = %+v", s)
-	}
-	if s := got["map/ptes"]; s.Self != 200 || s.Total != 200 {
-		t.Errorf("ptes = %+v", s)
-	}
-	if s := got["map"]; s.Self != 15 || s.Total != 315 {
-		t.Errorf("map = %+v, want self 15 total 315", s)
+	for _, want := range []SpanStat{
+		{Path: "map/iova-alloc", Count: 1, Self: 100, ByComponent: map[string]uint64{"iova": 100}},
+		{Path: "map/ptes", Count: 1, Self: 200, ByComponent: map[string]uint64{"pt": 200}},
+		{Path: "map", Count: 1, Self: 15, ByComponent: map[string]uint64{"other": 15}},
+	} {
+		if s := got[want.Path]; !reflect.DeepEqual(s, want) {
+			t.Errorf("%s = %+v, want %+v", want.Path, s, want)
+		}
 	}
 	if a := pf.Attributed(); a != 315 {
 		t.Errorf("attributed = %d, want 315 (no double counting)", a)
 	}
-	if len(got["map"].ByCore) != 1 || got["map"].ByCore[0] != 15 {
-		t.Errorf("per-core attribution = %v", got["map"].ByCore)
+	if c := pf.Component("other"); c != 15 {
+		t.Errorf("component other = %d, want 15", c)
+	}
+}
+
+// TestSnapshotCountsExitedSpansOnly: a span still open when the snapshot
+// is taken counts nothing in it, and one that exits afterwards — as a
+// proc's deferred SpanExit does while Engine.Stop unwinds it — leaves the
+// snapshot unchanged.
+func TestSnapshotCountsExitedSpansOnly(t *testing.T) {
+	eng := sim.NewEngine()
+	o := New(false)
+	eng.SetObserver(o)
+	eng.Spawn("w", 0, 0, func(p *sim.Proc) {
+		p.ChargeSpan("rx", "other", 10)
+		p.SpanEnter("rx")
+		defer p.SpanExit()
+		p.Charge("other", 5)
+		p.Sleep(1 << 20) // still open when the window ends
+	})
+	eng.Run(100)
+	snap := o.Prof.Snapshot()
+	eng.Stop()
+	want := []SpanStat{{Path: "rx", Count: 1, Self: 10, ByComponent: map[string]uint64{"other": 10}}}
+	if !reflect.DeepEqual(snap.Spans, want) {
+		t.Errorf("snapshot = %+v, want %+v", snap.Spans, want)
+	}
+	if live := o.Prof.Snapshot().Spans; len(live) != 1 || live[0].Count != 2 || live[0].ByComponent["other"] != 15 {
+		t.Errorf("after Stop the profiler holds %+v, want the unwound span counted", live)
 	}
 }
 
@@ -86,11 +114,8 @@ func TestSpanCapturesSpinWait(t *testing.T) {
 	// a: uncontended acquire (10). b: spun from clock 1 until a's unlock
 	// at 1010, plus the handoff penalty 50+20 = 1079 busy cycles.
 	want := uint64(10 + 1009 + 70)
-	if spin.Self != want {
-		t.Errorf("spin:test self = %d, want %d", spin.Self, want)
-	}
-	if Group("rx/stack/spin:test") != "lock/spin" {
-		t.Errorf("Group(spin path) = %q", Group("rx/stack/spin:test"))
+	if spin.Self != want || spin.ByComponent["spin"] != want {
+		t.Errorf("spin:test self = %d by component %v, want %d under the lock's tag", spin.Self, spin.ByComponent, want)
 	}
 }
 
@@ -122,29 +147,6 @@ func testingProcUnobserved(e *sim.Engine) bool {
 		}
 	}
 	return true
-}
-
-func TestGroupClassifier(t *testing.T) {
-	cases := map[string]string{
-		"map/iova-alloc":             "iova",
-		"unmap/iova-free":            "iova",
-		"map/ptes":                   "pt-mgmt",
-		"unmap/inval/inval-wait":     "invalidate",
-		"unmap/inval-submit":         "invalidate",
-		"map/copy-in":                "copy",
-		"unmap/copy-out":             "copy",
-		"map/pool-acquire":           "copy-mgmt",
-		"unmap/pool-release":         "copy-mgmt",
-		"rx/stack":                   "rx",
-		"rx/copy-user":               "copy-user",
-		"tx/skb":                     "tx",
-		"unmap/spin:invq/inval-wait": "lock/spin", // spin wins over leaf
-	}
-	for path, want := range cases {
-		if got := Group(path); got != want {
-			t.Errorf("Group(%q) = %q, want %q", path, got, want)
-		}
-	}
 }
 
 // TestChromeTraceSchema validates the exported JSON against the trace-event

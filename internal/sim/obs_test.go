@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // recSink records every span it receives.
 type recSink struct {
@@ -8,12 +11,28 @@ type recSink struct {
 }
 
 type recSpan struct {
-	path                    string
-	self, total, start, end uint64
+	path       string
+	self       map[string]uint64 // self cycles by tag
+	start, end uint64
 }
 
-func (s *recSink) SpanEnd(p *Proc, path string, self, total, start, end uint64) {
-	s.spans = append(s.spans, recSpan{path, self, total, start, end})
+func (s *recSink) SpanEnd(p *Proc, path string, tags []string, self []uint64, start, end uint64) {
+	m := map[string]uint64{}
+	for i, c := range self {
+		if c != 0 {
+			m[tags[i]] += c
+		}
+	}
+	s.spans = append(s.spans, recSpan{path, m, start, end})
+}
+
+// selfCycles is the span's self summed over tags.
+func (sp recSpan) selfCycles() uint64 {
+	var sum uint64
+	for _, c := range sp.self {
+		sum += c
+	}
+	return sum
 }
 
 func (s *recSink) find(t *testing.T, path string) recSpan {
@@ -28,8 +47,9 @@ func (s *recSink) find(t *testing.T, path string) recSpan {
 }
 
 // TestSpanAttribution checks the exactness contract: a parent's self
-// cycles exclude its children, paths nest with slashes, and spans charge
-// nothing beyond what Charge/Work already accounted.
+// cycles exclude its children and keep the tag each cycle was charged
+// under, paths nest with slashes, and spans charge nothing beyond what
+// Charge/Work already accounted.
 func TestSpanAttribution(t *testing.T) {
 	e := NewEngine()
 	sink := &recSink{}
@@ -56,28 +76,24 @@ func TestSpanAttribution(t *testing.T) {
 	if busy != 205 {
 		t.Fatalf("busy = %d, want 205", busy)
 	}
-	inner := sink.find(t, "unmap/inval")
-	if inner.self != 40 || inner.total != 40 {
-		t.Errorf("unmap/inval self/total = %d/%d, want 40/40", inner.self, inner.total)
+	for path, want := range map[string]map[string]uint64{
+		"unmap/inval": {"inval": 40},
+		"unmap":       {"sw": 110},
+		"ptes":        {"iommu": 25},
+		"copy":        {"copy": 30},
+	} {
+		if sp := sink.find(t, path); !reflect.DeepEqual(sp.self, want) {
+			t.Errorf("%s self = %v, want %v", path, sp.self, want)
+		}
 	}
-	outer := sink.find(t, "unmap")
-	if outer.self != 110 || outer.total != 150 {
-		t.Errorf("unmap self/total = %d/%d, want 110/150", outer.self, outer.total)
-	}
-	if outer.end-outer.start != 150 {
+	if outer := sink.find(t, "unmap"); outer.end-outer.start != 150 {
 		t.Errorf("unmap wall interval = %d, want 150", outer.end-outer.start)
-	}
-	if sp := sink.find(t, "ptes"); sp.self != 25 {
-		t.Errorf("ptes self = %d, want 25", sp.self)
-	}
-	if sp := sink.find(t, "copy"); sp.self != 30 {
-		t.Errorf("copy self = %d, want 30", sp.self)
 	}
 	// Sum of self cycles over all spans equals total busy: nothing double
 	// counted, nothing lost.
 	var self uint64
 	for _, sp := range sink.spans {
-		self += sp.self
+		self += sp.selfCycles()
 	}
 	if self != busy {
 		t.Errorf("sum of self cycles = %d, busy = %d", self, busy)
@@ -126,11 +142,64 @@ func TestSpinlockEmitsSpinSpan(t *testing.T) {
 	e.Stop()
 	found := false
 	for _, sp := range sink.spans {
-		if sp.path == "spin:invq" && sp.self > 0 {
+		if sp.path == "spin:invq" && sp.selfCycles() > 0 {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatalf("no spin:invq span with nonzero self cycles; spans: %v", sink.spans)
+	}
+}
+
+// TestSpanSelfConservesTaggedCycles: every busy cycle lands in exactly
+// one span under the tag it was charged with — plain charges, SpinUntil
+// and a contended spinlock handoff's busy wake alike — so once every span
+// has exited, each tag's self summed over spans equals the procs'
+// TaggedCycles for that tag.
+func TestSpanSelfConservesTaggedCycles(t *testing.T) {
+	e := NewEngine()
+	sink := &recSink{}
+	e.SetObserver(sink)
+	l := NewSpinlock("q", "spin", LockCosts{Uncontended: 4, HandoffBase: 8, HandoffPerWaiter: 2})
+	body := func(p *Proc) {
+		p.SpanEnter("op")
+		p.Charge("sw", 7)
+		p.SpanEnter("wait")
+		p.SpinUntil("poll", p.Now()+50)
+		p.ChargeSpan("ptes", "pt", 11)
+		p.SpanExit()
+		l.Lock(p)
+		p.Work("sw", 100) // hold while the other proc arrives
+		l.Unlock(p)
+		p.Charge("pt", 3)
+		p.SpanExit()
+	}
+	procs := []*Proc{e.Spawn("a", 0, 0, body), e.Spawn("b", 1, 0, body)}
+	e.Run(1 << 30)
+	e.Stop()
+	if l.Contended == 0 {
+		t.Fatal("no contended handoff; the test must exercise the busy wake")
+	}
+	spans := map[string]uint64{}
+	var spin uint64
+	for _, sp := range sink.spans {
+		for tag, c := range sp.self {
+			spans[tag] += c
+		}
+		if sp.path == "op/spin:q" {
+			spin += sp.self["spin"]
+		}
+	}
+	tagged := map[string]uint64{}
+	for _, p := range procs {
+		for tag, c := range p.Tagged() {
+			tagged[tag] += c
+		}
+	}
+	if !reflect.DeepEqual(spans, tagged) {
+		t.Errorf("self cycles by tag over spans = %v, TaggedCycles = %v", spans, tagged)
+	}
+	if spin <= 2*4 {
+		t.Errorf("op/spin:q spans hold %d spin cycles, no handoff wait beyond two uncontended acquires", spin)
 	}
 }

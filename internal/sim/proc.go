@@ -145,10 +145,8 @@ func (p *Proc) park() {
 		panic(errStopped)
 	}
 	if p.wakeAt > p.clock {
-		delta := p.wakeAt - p.clock
 		if p.wakeBusy {
-			p.busy += delta
-			p.tagVals[p.tagSlot(p.wakeTag)] += delta
+			p.account(p.wakeTag, p.wakeAt-p.clock)
 		}
 		p.clock = p.wakeAt
 	}
@@ -189,13 +187,29 @@ func (p *Proc) wake(at uint64, busy bool, tag string) {
 	p.eng.push(wakeItem{at: at, p: p})
 }
 
+// account adds c busy cycles under tag: to the proc's busy total, to the
+// tag's slot and, on an observed proc with an open span, to the innermost
+// span's self. Every busy cycle goes through it: Charge, SpinUntil and a
+// spinlock handoff's busy wake in park.
+func (p *Proc) account(tag string, c uint64) {
+	p.busy += c
+	i := p.tagSlot(tag)
+	p.tagVals[i] += c
+	if n := len(p.spans); n > 0 {
+		f := &p.spans[n-1]
+		for len(f.self) <= i {
+			f.self = append(f.self, 0)
+		}
+		f.self[i] += c
+	}
+}
+
 // Charge accounts c busy cycles under tag and advances the local clock
 // WITHOUT yielding to the engine. Use for sequences of purely core-local
 // work; any shared-resource operation re-synchronizes via fence.
 func (p *Proc) Charge(tag string, c uint64) {
-	p.busy += c
+	p.account(tag, c)
 	p.clock += c
-	p.tagVals[p.tagSlot(tag)] += c
 }
 
 // Work is Charge followed by a yield, making the elapsed work visible to
@@ -222,9 +236,7 @@ func (p *Proc) SpinUntil(tag string, t uint64) {
 	if t <= p.clock {
 		return
 	}
-	delta := t - p.clock
-	p.busy += delta
-	p.tagVals[p.tagSlot(tag)] += delta
+	p.account(tag, t-p.clock)
 	p.clock = t
 	p.fence()
 }

@@ -20,12 +20,12 @@ func benchBytes(t *testing.T, parallel int) []byte {
 		defer farm.Close()
 		cfg.Farm = farm
 	}
-	art, _, err := Bench(cfg)
+	tables, err := Bench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := art.Encode(&buf); err != nil {
+	if err := bench.Artifact("tenantbench", SweepWindowMs, nil, tables).Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/bench"
-	"repro/internal/report"
 )
 
 // Window lengths for the two table kinds, in simulated milliseconds.
@@ -209,24 +208,22 @@ type BenchConfig struct {
 	Farm         *bench.Farm
 }
 
-// Bench produces the deterministic tenantbench artifact: experiments
-// "tenantmatrix" and "tenantsweep". Byte-identical at any farm width.
-func Bench(cfg BenchConfig) (*report.Artifact, []*bench.Table, error) {
+// Bench produces the deterministic tenantbench tables, "tenantmatrix"
+// and "tenantsweep", whose artifact (window SweepWindowMs) is
+// byte-identical at any farm width.
+func Bench(cfg BenchConfig) ([]*bench.Table, error) {
 	mt, _, err := Matrix(MatrixConfig{
 		Seed: cfg.Seed, Schemes: cfg.Schemes, Attacks: cfg.Attacks, Farm: cfg.Farm,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st, _, err := Sweep(SweepConfig{
 		Seed: cfg.Seed, Schemes: cfg.Schemes,
 		TenantCounts: cfg.TenantCounts, FrameSizes: cfg.FrameSizes, Farm: cfg.Farm,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	art := report.New("tenantbench", SweepWindowMs, nil)
-	art.Add(mt.Experiment())
-	art.Add(st.Experiment())
-	return art, []*bench.Table{mt, st}, nil
+	return []*bench.Table{mt, st}, nil
 }

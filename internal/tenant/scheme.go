@@ -63,12 +63,12 @@ func appComplete(m *Machine, q *dpQueue, j dpJob) {
 	p := q.proc
 	t := j.t
 	p.SpanEnter("tenant.consume")
-	p.Charge("tenant consume", consumeCycles)
+	p.Charge(cycles.TagOther, consumeCycles)
 	t.Stats.Frames++
 	t.Stats.Bytes += uint64(j.n)
 	if !t.Hostile {
 		// The app is done with the buffer: repost the same descriptor.
-		p.Charge("tenant repost", repostCycles)
+		p.Charge(cycles.TagOther, repostCycles)
 		t.ring.Post(j.d)
 	}
 	p.SpanExit()
@@ -274,7 +274,7 @@ func (s *shadowCopy) complete(m *Machine, q *dpQueue, j dpJob) {
 	p := q.proc
 	t := j.t
 	p.SpanEnter("tenant.copyout")
-	p.Charge("tenant consume", consumeCycles)
+	p.Charge(cycles.TagOther, consumeCycles)
 	d, ok := popDesc(m, t, p.Now())
 	if ok {
 		if g := t.findGrant(d.Addr, d.Len, d.Epoch, false); g == nil {
@@ -291,7 +291,7 @@ func (s *shadowCopy) complete(m *Machine, q *dpQueue, j dpJob) {
 				t.Stats.Bytes += uint64(n)
 			}
 			if !t.Hostile {
-				p.Charge("tenant repost", repostCycles)
+				p.Charge(cycles.TagOther, repostCycles)
 				t.ring.Post(d)
 			}
 		}
