@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-smoke smoke baseline scale-smoke scale-baseline bench-json chaos-smoke chaos-baseline attack-smoke attack-baseline tenant-smoke tenant-baseline daemon-smoke bench profile fuzz fuzz-smoke cover doc-check ci
+.PHONY: build vet test race race-smoke smoke baseline bench-json daemon-smoke bench profile fuzz fuzz-smoke cover doc-check ci
 
 build:
 	$(GO) build ./...
@@ -35,32 +35,22 @@ race-smoke:
 		-run 'Farm|RunSuite|RunMemo|PointSeed|MagazineStatsRace|ChunkPoolRace|Fig1Extended|ParallelHost|Campaign|Tenant|Store|Daemon|Coroutine|FastYieldEquivalence|StreamMatchesPerEntrySchedule' \
 		./internal/bench/ ./internal/chaos/ ./internal/iova/ ./internal/shadow/ ./internal/campaign/ ./internal/tenant/ ./internal/store/ ./internal/daemon/ ./internal/mem/ ./internal/sim/
 
-# Fast end-to-end check: regenerate the full evaluation at a 1 ms window,
-# write the machine-readable artifact, and gate it against the committed
-# baseline. Per-point simulations are deterministic, so identical code
-# must diff clean (exit 0); a regression or who-wins flip fails the make.
+# The CI gates, each defined once in ci/gates.json: a committed baseline
+# and the run (a daemon.RunSpec) that must reproduce it. The paper
+# figures at a 1 ms window, the many-core Figure 1 extension at 2 ms, and
+# the chaos, attack-campaign and hostile-tenant suites at seed 1.
+# benchdiff runs every gate in-process on one farm and compares each with
+# its baseline exactly (relative tolerance 1e-9, float noise only):
+# simulations are deterministic, so identical code passes and any model
+# change fails, naming every moved metric and flipped claim.
 smoke:
-	$(GO) run ./cmd/reproduce -window 1 -skip-sensitivity -json /tmp/BENCH_smoke.json > /dev/null
-	$(GO) run ./cmd/benchdiff ci/baseline.json /tmp/BENCH_smoke.json
+	$(GO) run ./cmd/benchdiff ci/gates.json
 
-# Regenerate the committed baseline (run after an intentional change to
-# the cost model or experiments; review the diff before committing).
+# Regenerate the baselines whose gate fails (run after an intentional
+# change to the cost model, a scenario, a payload or a scheme; review
+# `git diff ci/` before committing). A passing gate's file is untouched.
 baseline:
-	$(GO) run ./cmd/reproduce -window 1 -skip-sensitivity -json ci/baseline.json > /dev/null
-
-# Many-core scale gate: regenerate the Figure 1 extension (six systems x
-# {1,4,16,64,128} cores, farmed) and diff it against the committed scale
-# baseline. Simulated metrics are deterministic at any -parallel, so
-# identical code must diff clean; only the farm.* host stats may differ
-# (diff-exempt).
-scale-smoke:
-	$(GO) run ./cmd/reproduce -window 2 -skip-sensitivity -experiment fig1ext -json /tmp/SCALE_smoke.json > /dev/null
-	$(GO) run ./cmd/benchdiff ci/scale-baseline.json /tmp/SCALE_smoke.json
-
-# Regenerate the committed scale baseline (after an intentional change to
-# the cost model or the fig1ext experiment; review the diff first).
-scale-baseline:
-	$(GO) run ./cmd/reproduce -window 2 -skip-sensitivity -experiment fig1ext -json ci/scale-baseline.json > /dev/null
+	$(GO) run ./cmd/benchdiff -write ci/gates.json
 
 # Host-side scale benchmark artifact: engine dispatch ns/op at 16/64/128
 # procs plus wall time and allocs/op for the 16/64/128-core strict-RX
@@ -69,50 +59,8 @@ scale-baseline:
 bench-json:
 	$(GO) run ./cmd/scalebench -json BENCH_scale.json
 
-# Resilience smoke: run the fault-injection scenarios (fault storm, IOVA
-# scan, queue stall, pool squeeze) at fixed seed and gate the artifact
-# against the committed chaos baseline, exactly like `smoke` does for the
-# paper figures. Catches regressions in containment (goodput under
-# attack), quarantine behaviour, and graceful-degradation accounting.
-chaos-smoke:
-	$(GO) run ./cmd/chaosbench -seed 1 -q -json /tmp/CHAOS_smoke.json
-	$(GO) run ./cmd/benchdiff ci/chaos-baseline.json /tmp/CHAOS_smoke.json
-
-# Regenerate the committed chaos baseline (after an intentional change to
-# the scenarios, policies, or cost model; review the diff first).
-chaos-baseline:
-	$(GO) run ./cmd/chaosbench -seed 1 -q -json ci/chaos-baseline.json
-
-# Attack-campaign smoke: run every payload in the malicious-device
-# library against every protection backend at fixed seed and gate the
-# success-matrix artifact against the committed attack baseline. Any
-# cell flip — a defense newly broken or newly effective — fails the
-# build and must be investigated, not re-baselined away.
-attack-smoke:
-	$(GO) run ./cmd/attackbench -seed 1 -q -json /tmp/ATTACK_smoke.json
-	$(GO) run ./cmd/benchdiff ci/attack-baseline.json /tmp/ATTACK_smoke.json
-
-# Regenerate the committed attack baseline (only after an intentional,
-# reviewed change to a payload or a protection model).
-attack-baseline:
-	$(GO) run ./cmd/attackbench -seed 1 -q -json ci/attack-baseline.json
-
-# Multi-tenant datapath smoke: run the hostile-tenant isolation matrix
-# (3 attacks x 3 schemes) and the isolation-vs-throughput sweep (up to
-# 1024 tenant queues) at fixed seed and gate the artifact against the
-# committed tenant baseline. An isolation-cell flip — a scheme newly
-# breached or newly containing — or goodput drift fails the build.
-tenant-smoke:
-	$(GO) run ./cmd/tenantbench -seed 1 -q -json /tmp/TENANT_smoke.json
-	$(GO) run ./cmd/benchdiff ci/tenant-baseline.json /tmp/TENANT_smoke.json
-
-# Regenerate the committed tenant baseline (only after an intentional,
-# reviewed change to a scheme, a hostile program, or the cost model).
-tenant-baseline:
-	$(GO) run ./cmd/tenantbench -seed 1 -q -json ci/tenant-baseline.json
-
-# Daemon smoke: start a simd on a fresh store, serve every baseline
-# suite through it (benchdiff -watch; 0 drift vs the committed gates),
+# Daemon smoke: start a simd on a fresh store, serve every gate of
+# ci/gates.json through it (benchdiff -watch, the exact gate rule),
 # require the warm memoized path to be >= 5x faster than a cold compute,
 # and SIGTERM mid-flight to assert the graceful drain (doc/DAEMON.md).
 daemon-smoke:
@@ -137,9 +85,12 @@ profile:
 # model page table and mem access vs. a model byte store (both seeded
 # from dmafuzz-generated corpora), the page-indexed table vs. a Go map,
 # the shadow pool's IOVA metadata decoder, the KV server's request
-# decoder, the daemon's request decoder plus RunSpec.Normalize, and the
-# result store's entry reader. Short budgets — this is a smoke pass;
-# raise -fuzztime for a longer campaign.
+# decoder, the daemon's request decoder plus RunSpec.Normalize, the
+# result store's entry reader, and device-side DMA traces through every
+# protection backend under dmafuzz's oracles (FuzzDeviceDMA; Go minimizes
+# each new input, at a few dozen execs/s, hence its short
+# -fuzzminimizetime). Short budgets — this is a smoke pass; raise
+# -fuzztime for a longer campaign.
 fuzz:
 	$(GO) test ./internal/iommu/ -run '^$$' -fuzz '^FuzzTranslate$$' -fuzztime 10s
 	$(GO) test ./internal/mem/ -run '^$$' -fuzz '^FuzzAccess$$' -fuzztime 10s
@@ -148,6 +99,7 @@ fuzz:
 	$(GO) test ./internal/kv/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s
 	$(GO) test ./internal/daemon/ -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzStoreGet$$' -fuzztime 10s
+	$(GO) test ./internal/dmafuzz/ -run '^$$' -fuzz '^FuzzDeviceDMA$$' -fuzztime 10s -fuzzminimizetime 5s
 
 # The security oracle's line for a stale-IOVA write on a backend with no
 # declared window: the canaries below must print it, so a dmafuzz that
@@ -196,4 +148,4 @@ doc-check:
 
 # Each test runs once: cover runs every test that `test` would, and race
 # every test that race-smoke would, so neither of those two is listed.
-ci: vet race smoke scale-smoke chaos-smoke attack-smoke tenant-smoke daemon-smoke fuzz-smoke cover doc-check
+ci: vet race smoke daemon-smoke fuzz-smoke cover doc-check

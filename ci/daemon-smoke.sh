@@ -2,9 +2,9 @@
 # daemon-smoke: end-to-end gate for the simd daemon (doc/DAEMON.md).
 #
 # Builds simd/simctl/benchdiff, starts a daemon on a fresh store, runs
-# every baseline-gated suite THROUGH the daemon and diffs each artifact
-# against the committed baseline (0 drift required — the daemon path must
-# be observationally identical to the one-shot tools), checks that a warm
+# every gate of ci/gates.json THROUGH the daemon and compares each
+# artifact exactly with its committed baseline (the daemon path must be
+# observationally identical to the one-shot tools), checks that a warm
 # memoized re-run is at least 5x faster than the cold compute, and
 # finally SIGTERMs the daemon mid-flight to assert the graceful drain:
 # the in-flight request completes and the process exits 0.
@@ -25,13 +25,9 @@ $GO build -o "$BIN/reproduce" ./cmd/reproduce
 SIMD_PID=$!
 "$BIN/simctl" wait -socket "$SOCK" -timeout 30s > /dev/null
 
-# Gate 1: every baseline suite served by the daemon diffs clean against
-# the committed baselines (benchdiff -watch maps baseline -> RunSpec).
-"$BIN/benchdiff" -watch -count 1 -socket "$SOCK" ci/baseline.json
-"$BIN/benchdiff" -watch -count 1 -socket "$SOCK" -seed 1 ci/chaos-baseline.json
-"$BIN/benchdiff" -watch -count 1 -socket "$SOCK" -seed 1 ci/attack-baseline.json
-"$BIN/benchdiff" -watch -count 1 -socket "$SOCK" -seed 1 ci/tenant-baseline.json
-"$BIN/benchdiff" -watch -count 1 -socket "$SOCK" ci/scale-baseline.json
+# Gate 1: every gate of ci/gates.json, served by the daemon, compares
+# exactly with its committed baseline.
+"$BIN/benchdiff" -watch -count 1 -socket "$SOCK" ci/gates.json
 
 # Gate 2: cold vs warm. The suite above already computed the reproduce
 # artifact, so a fresh request must be a pure store hit — require >= 5x

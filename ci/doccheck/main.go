@@ -1,14 +1,16 @@
 // Command doccheck is the `make doc-check` gate: it keeps the repository's
-// documentation from rotting by verifying four invariants that are cheap
+// documentation from rotting by verifying five invariants that are cheap
 // to break silently —
 //
 //  1. every relative link in the markdown files resolves to a file or
 //     directory that actually exists (anchors after '#' are ignored),
 //  2. every `go run ./cmd/<name>` in the markdown names a command
 //     directory that exists,
-//  3. every internal/ package carries a package comment in a non-test file,
+//  3. every `make <target>` in the markdown names a Makefile target
+//     (CHANGES.md, the history, aside),
+//  4. every internal/ package carries a package comment in a non-test file,
 //     so `go doc repro/internal/<pkg>` always says something, and
-//  4. the layer diagram in ARCHITECTURE.md names every internal/ package
+//  5. the layer diagram in ARCHITECTURE.md names every internal/ package
 //     and no package that does not exist.
 //
 // It prints one line per violation and exits 1 if there are any.
@@ -34,6 +36,14 @@ var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
 // as ./cmd/<tool> do not match.
 var goRunCmd = regexp.MustCompile(`go run \./cmd/([A-Za-z0-9_-]+)`)
 
+// makeCmd matches `make <target>` outside fenced code, in a backticked
+// span, and inside it, at the start of a line. Placeholders such as
+// `make X` do not match.
+var makeCmd = [2]*regexp.Regexp{
+	regexp.MustCompile("`make ([a-z][a-z0-9-]*)"),
+	regexp.MustCompile(`(?m)^\s*(?:\$ )?make ([a-z][a-z0-9-]*)`),
+}
+
 // diagramPkg matches a package named in the layer diagram.
 var diagramPkg = regexp.MustCompile(`internal/([A-Za-z0-9_]+)`)
 
@@ -45,13 +55,14 @@ func main() {
 	bad := 0
 	bad += checkLinks(root)
 	bad += checkCommands(root)
+	bad += checkMakeTargets(root)
 	bad += checkPackageComments(root)
 	bad += checkDiagram(root)
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doc-check: %d problem(s)\n", bad)
 		os.Exit(1)
 	}
-	fmt.Println("doc-check: all markdown links and commands resolve; all internal packages documented and in the layer diagram")
+	fmt.Println("doc-check: all markdown links, commands and make targets resolve; all internal packages documented and in the layer diagram")
 }
 
 // walkMarkdown calls check with every .md file under root and its
@@ -120,6 +131,28 @@ func checkCommands(root string) int {
 				fmt.Fprintf(os.Stderr, "%s: %q names a missing command (cmd/%s does not exist)\n",
 					path, m[0], m[1])
 				bad++
+			}
+		}
+		return bad
+	})
+}
+
+// checkMakeTargets verifies that each `make <target>` in the markdown
+// names a target of root's Makefile.
+func checkMakeTargets(root string) int {
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doc-check: %v\n", err)
+		return 1
+	}
+	return walkMarkdown(root, func(path, text string) int {
+		bad := 0
+		for i, part := range strings.Split(text, "```") { // odd parts are fenced
+			for _, m := range makeCmd[i%2].FindAllStringSubmatch(part, -1) {
+				if filepath.Base(path) != "CHANGES.md" && !strings.Contains("\n"+string(mk), "\n"+m[1]+":") {
+					fmt.Fprintf(os.Stderr, "%s: \"make %s\" names a missing Makefile target\n", path, m[1])
+					bad++
+				}
 			}
 		}
 		return bad

@@ -45,6 +45,23 @@ func TestCheckCommands(t *testing.T) {
 	}
 }
 
+func TestCheckMakeTargets(t *testing.T) {
+	root := t.TempDir()
+	write(t, filepath.Join(root, "Makefile"), "GO ?= go\n\nsmoke:\n\t$(GO) run ./x\n\nci: smoke\n")
+	write(t, filepath.Join(root, "README.md"),
+		"Run `make smoke` or `make X` (a placeholder).\n"+
+			"   make a point in prose\n\n```sh\nmake ci\n$ make smoke\n```\n")
+	write(t, filepath.Join(root, "CHANGES.md"), "- Deleted `make chaos-smoke`.\n")
+	if bad := checkMakeTargets(root); bad != 0 {
+		t.Fatalf("clean tree: %d violations, want 0", bad)
+	}
+	write(t, filepath.Join(root, "doc", "GUIDE.md"),
+		"Gate with `make chaos-smoke`.\n\n```\n$ make attack-baseline\n```\n")
+	if bad := checkMakeTargets(root); bad != 2 {
+		t.Fatalf("missing targets: %d violations, want 2", bad)
+	}
+}
+
 func TestCheckPackageComments(t *testing.T) {
 	root := t.TempDir()
 	write(t, filepath.Join(root, "internal", "good", "good.go"),
@@ -93,6 +110,9 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if bad := checkCommands(root); bad != 0 {
 		t.Errorf("repo markdown commands: %d name a missing cmd/ directory", bad)
+	}
+	if bad := checkMakeTargets(root); bad != 0 {
+		t.Errorf("repo markdown make commands: %d name a missing Makefile target", bad)
 	}
 	if bad := checkPackageComments(root); bad != 0 {
 		t.Errorf("repo package comments: %d missing", bad)

@@ -14,10 +14,11 @@
 //
 // The run goes through daemon.Execute, the same path simd serves. Every
 // cell is an independent deterministic simulation, so the JSON
-// artifact is byte-identical at any -parallel setting and is
-// regression-gated in CI with cmd/benchdiff against
-// ci/attack-baseline.json (`make attack-smoke`): any cell flip — a
-// defense newly broken or newly effective — fails the build.
+// artifact is byte-identical at any -parallel setting. The attack gate
+// of ci/gates.json runs the same spec at seed 1, and `make smoke`
+// compares it exactly with ci/attack-baseline.json through
+// cmd/benchdiff: any cell flip — a defense newly broken or newly
+// effective — fails the build.
 package main
 
 import (

@@ -11,9 +11,9 @@
 //
 // The run goes through daemon.Execute, the same path simd serves. Every
 // scenario is deterministic for a given seed — the farm changes when
-// variants run, never their numbers (doc/FARM.md) — so the JSON
-// artifact is regression-gated in CI with cmd/benchdiff against
-// ci/chaos-baseline.json (`make chaos-smoke`).
+// variants run, never their numbers (doc/FARM.md). The chaos gate of
+// ci/gates.json runs the same spec at seed 1, and `make smoke` compares
+// it exactly with ci/chaos-baseline.json through cmd/benchdiff.
 package main
 
 import (

@@ -15,10 +15,11 @@
 //
 // The run goes through daemon.Execute, the same path simd serves. Every
 // cell is an independent deterministic simulation, so the JSON
-// artifact is byte-identical at any -parallel setting and is
-// regression-gated in CI with cmd/benchdiff against
-// ci/tenant-baseline.json (`make tenant-smoke`): any isolation-cell flip
-// or goodput drift fails the build.
+// artifact is byte-identical at any -parallel setting. The tenant gate
+// of ci/gates.json runs the same spec at seed 1, and `make smoke`
+// compares it exactly with ci/tenant-baseline.json through
+// cmd/benchdiff: any isolation-cell flip or goodput drift fails the
+// build.
 package main
 
 import (

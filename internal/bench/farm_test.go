@@ -190,8 +190,8 @@ func TestFarmStatsAndPublish(t *testing.T) {
 	}
 	r := obs.NewRegistry()
 	farm.Publish(r)
-	if r.CounterValue("farm.executed") != 30 {
-		t.Errorf("farm.executed = %d in registry", r.CounterValue("farm.executed"))
+	if got := r.Snapshot().Counters["farm.executed"]; got != 30 {
+		t.Errorf("farm.executed = %d in registry", got)
 	}
 }
 

@@ -8,9 +8,9 @@
 // Table1 reproduces the paper's Table 1 from three of the payloads
 // (RunTable1), and the package generalizes it from 3 attacks x 6
 // protection models to a ~10 x 8 success matrix (Matrix, cmd/attackbench)
-// that is deterministic per seed and regression-gated in CI against
-// ci/attack-baseline.json — any cell flip (a defense newly broken or
-// newly effective) fails the build.
+// that is deterministic per seed and held exactly to
+// ci/attack-baseline.json by the attack gate of ci/gates.json — any cell
+// flip (a defense newly broken or newly effective) fails the build.
 //
 // Two design points beyond the PASIV-style payload library:
 //

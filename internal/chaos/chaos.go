@@ -12,8 +12,8 @@
 //	unprotected  the same attack with the resilience machinery off
 //
 // All time is virtual and every input is derived from Config.Seed, so a
-// scenario's metrics are bit-deterministic and can be regression-gated
-// with cmd/benchdiff (see ci/chaos-baseline.json and `make chaos-smoke`).
+// scenario's metrics are bit-deterministic, and the chaos gate of
+// ci/gates.json holds them exactly to ci/chaos-baseline.json.
 package chaos
 
 import (

@@ -3,6 +3,7 @@ package daemon
 import (
 	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -89,27 +90,36 @@ func TestNormalizeRejectsUnrunnableNumbers(t *testing.T) {
 }
 
 // TestNormalizeKeepsGateSpecs pins the normalized bytes of the specs the
-// CI gates, daemon-smoke and the benchmark send: their store keys must
-// not move.
+// CI gates (ci/gates.json, in its order), daemon-smoke and the benchmark
+// send: their store keys must not move.
 func TestNormalizeKeepsGateSpecs(t *testing.T) {
-	for _, tc := range []struct {
-		spec RunSpec
-		want string
-	}{
-		{RunSpec{Tool: "reproduce", WindowMs: 1, SkipSensitivity: true, Experiments: "all"},
-			`{"tool":"reproduce","window_ms":1,"skip_sensitivity":true,"experiments":"all"}`},
-		{RunSpec{Tool: "reproduce", WindowMs: 2, SkipSensitivity: true, Experiments: "fig1ext"},
-			`{"tool":"reproduce","window_ms":2,"skip_sensitivity":true,"experiments":"fig1ext"}`},
-		{RunSpec{Tool: "attackbench", Seed: 1},
-			`{"tool":"attackbench","seed":1,"payloads":"all","systems":"all"}`},
-		{RunSpec{Tool: "tenantbench", Seed: 1},
-			`{"tool":"tenantbench","seed":1,"schemes":"all","attacks":"all","tenants":"all","frames":"all"}`},
-		{RunSpec{Tool: "chaosbench", Seed: 1},
-			`{"tool":"chaosbench","seed":1,"window_ms":2,"cores":2,"system":"strict","scenarios":"all"}`},
-		{RunSpec{Tool: "chaosbench", Seed: 7, WindowMs: 4},
-			`{"tool":"chaosbench","seed":7,"window_ms":4,"cores":2,"system":"strict","scenarios":"all"}`},
-	} {
-		n, err := tc.spec.Normalize()
+	data, err := os.ReadFile("../../ci/gates.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gates []struct {
+		Spec RunSpec `json:"spec"`
+	}
+	if err := json.Unmarshal(data, &gates); err != nil {
+		t.Fatal(err)
+	}
+	specs := []RunSpec{{Tool: "chaosbench", Seed: 7, WindowMs: 4}} // daemon-smoke's drain run
+	for _, g := range gates {
+		specs = append(specs, g.Spec)
+	}
+	want := []string{
+		`{"tool":"chaosbench","seed":7,"window_ms":4,"cores":2,"system":"strict","scenarios":"all"}`,
+		`{"tool":"reproduce","window_ms":1,"skip_sensitivity":true,"experiments":"all"}`,
+		`{"tool":"reproduce","window_ms":2,"skip_sensitivity":true,"experiments":"fig1ext"}`,
+		`{"tool":"chaosbench","seed":1,"window_ms":2,"cores":2,"system":"strict","scenarios":"all"}`,
+		`{"tool":"attackbench","seed":1,"payloads":"all","systems":"all"}`,
+		`{"tool":"tenantbench","seed":1,"schemes":"all","attacks":"all","tenants":"all","frames":"all"}`,
+	}
+	if len(specs) != len(want) {
+		t.Fatalf("ci/gates.json has %d gates, want %d", len(gates), len(want)-1)
+	}
+	for i, s := range specs {
+		n, err := s.Normalize()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +127,8 @@ func TestNormalizeKeepsGateSpecs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != tc.want {
-			t.Errorf("Normalize(%+v) = %s, want %s", tc.spec, got, tc.want)
+		if string(got) != want[i] {
+			t.Errorf("Normalize(%+v) = %s, want %s", s, got, want[i])
 		}
 	}
 }

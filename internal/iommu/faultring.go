@@ -52,9 +52,6 @@ func (r *FaultRing) Push(f Fault) {
 // Len returns the number of faults currently held.
 func (r *FaultRing) Len() int { return r.n }
 
-// Cap returns the ring capacity.
-func (r *FaultRing) Cap() int { return len(r.buf) }
-
 // Recorded returns the total number of faults ever pushed.
 func (r *FaultRing) Recorded() uint64 { return r.recorded }
 

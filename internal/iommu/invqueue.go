@@ -96,11 +96,6 @@ func (q *InvQueue) SubmitPages(p *sim.Proc, dev DeviceID, page, npages uint64) u
 	return q.submit(p, func() { q.u.tlb.InvalidatePages(dev, page, npages) })
 }
 
-// SubmitDevice queues a device-selective invalidation.
-func (q *InvQueue) SubmitDevice(p *sim.Proc, dev DeviceID) uint64 {
-	return q.submit(p, func() { q.u.tlb.InvalidateDevice(dev) })
-}
-
 // SubmitGlobal queues a global invalidation (used by the batched deferred
 // flush, as in Linux).
 func (q *InvQueue) SubmitGlobal(p *sim.Proc) uint64 {

@@ -52,9 +52,6 @@ func (t *IOTLB) set(dev DeviceID, page uint64) []iotlbEntry {
 // cycles after insertion. Zero disables.
 func (t *IOTLB) SetTTL(ttl uint64) { t.ttl = ttl }
 
-// TTL returns the self-invalidation period (0 = disabled).
-func (t *IOTLB) TTL() uint64 { return t.ttl }
-
 // Lookup finds a cached translation at virtual time now.
 func (t *IOTLB) Lookup(dev DeviceID, page uint64, now uint64) (pte, bool) {
 	t.tick++

@@ -149,12 +149,6 @@ func (n *NIC) Queue(i int) *Queue { return n.queues[i] }
 // Config returns the NIC configuration.
 func (n *NIC) Config() Config { return n.cfg }
 
-// RxWire and TxWire expose the two wire directions.
-func (n *NIC) RxWire() *Wire { return n.rxWire }
-
-// TxWire returns the transmit-direction wire.
-func (n *NIC) TxWire() *Wire { return n.txWire }
-
 // MaxTxBuf returns the largest transmit buffer the driver may post: 64 KiB
 // with TSO, one MTU without.
 func (n *NIC) MaxTxBuf() int {
@@ -341,6 +335,3 @@ func (q *Queue) DrainTx() []Desc {
 
 // HasTx reports whether transmit completions are pending.
 func (q *Queue) HasTx() bool { return len(q.txComp) > 0 }
-
-// TxInFlight returns the number of posted-but-uncompleted TX descriptors.
-func (q *Queue) TxInFlight() int { return q.txOutstanding }

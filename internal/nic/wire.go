@@ -38,9 +38,6 @@ func (w *Wire) Reserve(now uint64, n int) uint64 {
 	return end
 }
 
-// BusyUntil returns the time the wire frees up (for tests).
-func (w *Wire) BusyUntil() uint64 { return w.busyTill }
-
 // Utilization returns the fraction of the window the wire was busy,
 // assuming back-to-back reservation from time zero.
 func (w *Wire) Utilization(window uint64) float64 {

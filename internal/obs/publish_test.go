@@ -32,9 +32,6 @@ func TestPublishNaming(t *testing.T) {
 			t.Errorf("gauge %s = %v (published %v), want %v", name, got, ok, want)
 		}
 	}
-	if got := s.String(); got == "" {
-		t.Error("Snapshot.String() empty")
-	}
 }
 
 func TestPublishFarm(t *testing.T) {

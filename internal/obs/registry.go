@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // Registry is a metrics registry with three kinds of series, all named by
 // dotted "subsystem.object.metric" strings (e.g. "daemon.store.hits",
@@ -38,9 +32,6 @@ func NewRegistry() *Registry {
 // the caller owns the running total).
 func (r *Registry) Counter(name string, v uint64) { r.counters[name] = v }
 
-// AddCounter increments the counter name by v.
-func (r *Registry) AddCounter(name string, v uint64) { r.counters[name] += v }
-
 // Gauge sets the gauge name to v.
 func (r *Registry) Gauge(name string, v float64) { r.gauges[name] = v }
 
@@ -48,9 +39,6 @@ func (r *Registry) Gauge(name string, v float64) { r.gauges[name] = v }
 func (r *Registry) Observe(name string, v float64) {
 	r.dists[name] = append(r.dists[name], v)
 }
-
-// CounterValue returns a counter's current value (0 if absent).
-func (r *Registry) CounterValue(name string) uint64 { return r.counters[name] }
 
 // Snapshot is an immutable, JSON-friendly view of a registry.
 type Snapshot struct {
@@ -81,36 +69,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// String renders the snapshot as sorted "name value" lines.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	names := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&b, "%-44s %d\n", k, s.Counters[k])
-	}
-	names = names[:0]
-	for k := range s.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&b, "%-44s %g\n", k, s.Gauges[k])
-	}
-	names = names[:0]
-	for k := range s.Distributions {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		d := s.Distributions[k]
-		fmt.Fprintf(&b, "%-44s n=%d mean=%.2f p50=%.2f p99=%.2f max=%.2f\n",
-			k, d.Count, d.Mean, d.P50, d.P99, d.Max)
-	}
-	return b.String()
 }

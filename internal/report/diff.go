@@ -39,7 +39,7 @@ type Change struct {
 }
 
 func (c Change) String() string {
-	return fmt.Sprintf("%s [%s @ %s] %s: %.4g -> %.4g (%+.1f%%)",
+	return fmt.Sprintf("%s [%s @ %s] %s: %.10g -> %.10g (%+.3g%%)",
 		c.Experiment, c.System, c.Label, c.Metric, c.A, c.B, 100*c.Rel)
 }
 

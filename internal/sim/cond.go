@@ -46,6 +46,3 @@ func (c *Cond) Signal(p *Proc) { c.SignalAt(p.Now(), 1) }
 
 // Broadcast wakes all waiters at proc p's current time.
 func (c *Cond) Broadcast(p *Proc) { c.SignalAt(p.Now(), -1) }
-
-// HasWaiters reports whether any proc is blocked on the condition.
-func (c *Cond) HasWaiters() bool { return len(c.waiters) > 0 }

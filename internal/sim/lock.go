@@ -41,9 +41,6 @@ func NewSpinlock(name, tag string, costs LockCosts) *Spinlock {
 // Held reports whether the lock is currently owned (for tests/invariants).
 func (l *Spinlock) Held() bool { return l.owner != nil }
 
-// Waiters returns the number of procs currently spinning on the lock.
-func (l *Spinlock) Waiters() int { return len(l.waiters) }
-
 // Lock acquires the spinlock, spinning (busy) if it is contended. When a
 // span sink is attached the acquisition — uncontended charge or contended
 // spin, including the handoff penalty accrued on wake — is reported as a

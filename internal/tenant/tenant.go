@@ -36,8 +36,8 @@
 //
 // Matrix (isolation cells) and Sweep (goodput vs tenant count, up to
 // thousands of queues) fan independent per-cell machines across
-// bench.Farm; cmd/tenantbench emits the deterministic artifact gated in
-// CI by `make tenant-smoke` against ci/tenant-baseline.json.
+// bench.Farm; cmd/tenantbench emits the deterministic artifact that the
+// tenant gate of ci/gates.json holds exactly to ci/tenant-baseline.json.
 package tenant
 
 import (
