@@ -67,12 +67,14 @@ daemon-smoke:
 	sh ci/daemon-smoke.sh
 
 # Host-side microbenchmarks of the simulation substrate (scheduler fence
-# path, page store, DMA translation, IOVA allocators) and of machine setup
-# (posting an RX ring per design). Results are host-dependent — they are
+# path, page store, DMA translation, IOVA allocators), of machine setup
+# (posting an RX ring per design) and of one warm daemon request (a
+# store hit over the unix socket). Results are host-dependent — they are
 # written to bench-host.txt for eyeballing, not gated.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem \
-		./internal/sim/ ./internal/mem/ ./internal/iommu/ ./internal/iova/ ./internal/bench/ | tee bench-host.txt
+		./internal/sim/ ./internal/mem/ ./internal/iommu/ ./internal/iova/ ./internal/bench/ \
+		./internal/daemon/ | tee bench-host.txt
 
 # Profile the smoke workload: writes cpu.prof and mem.prof to /tmp.
 # Inspect with: go tool pprof -http=: /tmp/cpu.prof
@@ -86,6 +88,7 @@ profile:
 # from dmafuzz-generated corpora), the page-indexed table vs. a Go map,
 # the shadow pool's IOVA metadata decoder, the KV server's request
 # decoder, the daemon's request decoder plus RunSpec.Normalize, the
+# client's reply reader (FuzzReply: a hostile header line or length), the
 # result store's entry reader, and device-side DMA traces through every
 # protection backend under dmafuzz's oracles (FuzzDeviceDMA; Go minimizes
 # each new input, at a few dozen execs/s, hence its short
@@ -98,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/shadow/ -run '^$$' -fuzz '^FuzzIOVADecode$$' -fuzztime 10s
 	$(GO) test ./internal/kv/ -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s
 	$(GO) test ./internal/daemon/ -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 10s
+	$(GO) test ./internal/daemon/ -run '^$$' -fuzz '^FuzzReply$$' -fuzztime 10s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzStoreGet$$' -fuzztime 10s
 	$(GO) test ./internal/dmafuzz/ -run '^$$' -fuzz '^FuzzDeviceDMA$$' -fuzztime 10s -fuzzminimizetime 5s
 

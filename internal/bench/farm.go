@@ -34,7 +34,9 @@ import (
 // done, that handle's queued-but-unstarted points complete immediately
 // with ctx.Err() instead of running, while points from other handles on
 // the same pool are untouched. This is how the daemon runs many client
-// requests over one pool and cancels exactly one of them.
+// requests over one pool and cancels exactly one of them. A derived
+// handle also counts its own points, so one request's stats never
+// include another's.
 //
 // Contract: task functions must be leaves — they must not call Map on the
 // same Farm (sweep coordinators run on ordinary goroutines; only leaf
@@ -45,6 +47,14 @@ import (
 type Farm struct {
 	p   *pool
 	ctx context.Context // nil means never cancelled
+	// own counts the points of a handle from WithContext; it is nil on
+	// the handle NewFarm returns, which reports the pool's totals.
+	own *pointCounts
+}
+
+// pointCounts are the per-point counters Stats reports.
+type pointCounts struct {
+	submitted, executed, stolen, panics, canceled atomic.Uint64
 }
 
 // pool holds the shared worker state behind one or more Farm handles.
@@ -59,14 +69,10 @@ type pool struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	started   time.Time
-	submitted atomic.Uint64
-	executed  atomic.Uint64
-	stolen    atomic.Uint64
-	panics    atomic.Uint64
-	canceled  atomic.Uint64
-	inflight  atomic.Int64
-	busyNs    []atomic.Int64
+	started  time.Time
+	all      pointCounts // every handle's points
+	inflight atomic.Int64
+	busyNs   []atomic.Int64
 }
 
 // task is one queued point: fn computes it, grp collects completion, idx
@@ -80,13 +86,15 @@ type task struct {
 }
 
 // group tracks one Map call's outstanding points. ctx, when non-nil,
-// cancels the group's not-yet-started points.
+// cancels the group's not-yet-started points. counts are the counters
+// its points count in: the pool's, then the submitting handle's own.
 type group struct {
-	n    int
-	done int
-	errs []error
-	fin  chan struct{}
-	ctx  context.Context
+	n      int
+	done   int
+	errs   []error
+	fin    chan struct{}
+	ctx    context.Context
+	counts []*pointCounts
 }
 
 // NewFarm starts a pool of `parallel` workers (<=0 means GOMAXPROCS).
@@ -113,14 +121,14 @@ func NewFarm(parallel int) *Farm {
 // WithContext returns a handle on the same pool whose Map calls stop
 // scheduling new points once ctx is done: every queued point of such a
 // Map completes with ctx.Err() without running (points already executing
-// finish — simulations are not interruptible mid-point). Valid on a nil
-// farm, where it returns a serial handle with the same cancellation
-// semantics.
+// finish — simulations are not interruptible mid-point). The handle
+// counts its own points (see Stats). Valid on a nil farm, where it
+// returns a serial handle with the same cancellation semantics.
 func (f *Farm) WithContext(ctx context.Context) *Farm {
 	if f == nil {
 		return &Farm{ctx: ctx}
 	}
-	return &Farm{p: f.p, ctx: ctx}
+	return &Farm{p: f.p, ctx: ctx, own: new(pointCounts)}
 }
 
 // Workers returns the pool size (0 for a nil/serial farm).
@@ -150,8 +158,14 @@ func (f *Farm) Map(n int, fn func(i int) error) error {
 		return mapSerial(ctx, n, fn)
 	}
 	p := f.p
-	grp := &group{n: n, errs: make([]error, n), fin: make(chan struct{}), ctx: ctx}
-	p.submitted.Add(uint64(n))
+	grp := &group{n: n, errs: make([]error, n), fin: make(chan struct{}), ctx: ctx,
+		counts: []*pointCounts{&p.all}}
+	if f.own != nil {
+		grp.counts = append(grp.counts, f.own)
+	}
+	for _, c := range grp.counts {
+		c.submitted.Add(uint64(n))
+	}
 	p.mu.Lock()
 	if p.closed {
 		// Late submission after Close: degrade to serial rather than
@@ -241,12 +255,16 @@ func (p *pool) worker(w int) {
 		if t.grp.ctx != nil && t.grp.ctx.Err() != nil {
 			// The group's request was cancelled: complete the point with
 			// the context error without burning a simulation on it.
-			p.canceled.Add(1)
+			for _, c := range t.grp.counts {
+				c.canceled.Add(1)
+			}
 			p.finish(t, t.grp.ctx.Err())
 			continue
 		}
 		if t.home != w {
-			p.stolen.Add(1)
+			for _, c := range t.grp.counts {
+				c.stolen.Add(1)
+			}
 		}
 		p.inflight.Add(1)
 		start := time.Now()
@@ -260,9 +278,12 @@ func (p *pool) worker(w int) {
 // finish records a completed point and releases its group when it was the
 // last one.
 func (p *pool) finish(t *task, err error) {
-	p.executed.Add(1)
-	if err != nil && IsPanic(err) {
-		p.panics.Add(1)
+	panicked := err != nil && IsPanic(err)
+	for _, c := range t.grp.counts {
+		c.executed.Add(1)
+		if panicked {
+			c.panics.Add(1)
+		}
 	}
 	p.mu.Lock()
 	t.grp.errs[t.idx] = err
@@ -328,23 +349,30 @@ func (f *Farm) InFlight() int {
 }
 
 // Stats snapshots the scheduler metrics (see doc/FARM.md). Host-time
-// based, so informational only — never part of a gated artifact.
+// based, so informational only — never part of a gated artifact. The
+// point counters (submitted, executed, steals, panics, canceled) are
+// this handle's own on a handle from WithContext and the pool's totals
+// otherwise; workers, the queue and utilization are always pool-wide.
 func (f *Farm) Stats() obs.FarmStats {
 	if f == nil || f.p == nil {
 		return obs.FarmStats{}
 	}
 	p := f.p
+	c := &p.all
+	if f.own != nil {
+		c = f.own
+	}
 	p.mu.Lock()
 	hwm := p.hwm
 	pending := p.pending
 	p.mu.Unlock()
 	s := obs.FarmStats{
 		Workers:    p.workers,
-		Submitted:  p.submitted.Load(),
-		Executed:   p.executed.Load(),
-		Steals:     p.stolen.Load(),
-		Panics:     p.panics.Load(),
-		Canceled:   p.canceled.Load(),
+		Submitted:  c.submitted.Load(),
+		Executed:   c.executed.Load(),
+		Steals:     c.stolen.Load(),
+		Panics:     c.panics.Load(),
+		Canceled:   c.canceled.Load(),
 		QueueHWM:   hwm,
 		QueueDepth: pending,
 		InFlight:   int(p.inflight.Load()),

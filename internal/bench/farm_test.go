@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -192,6 +193,36 @@ func TestFarmStatsAndPublish(t *testing.T) {
 	farm.Publish(r)
 	if got := r.Snapshot().Counters["farm.executed"]; got != 30 {
 		t.Errorf("farm.executed = %d in registry", got)
+	}
+
+	// A WithContext handle counts its own points, one panic and one
+	// cancelled run included; the pool's handle counts every point.
+	own := farm.WithContext(context.Background())
+	own.Map(7, func(i int) error {
+		if i == 2 {
+			panic("synthetic point failure")
+		}
+		return nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gone := farm.WithContext(ctx)
+	gone.Map(5, func(int) error { return nil })
+	for _, tc := range []struct {
+		name                                   string
+		got                                    obs.FarmStats
+		submitted, executed, panics, cancelled uint64
+	}{
+		{"own handle", own.Stats(), 7, 7, 1, 0},
+		{"cancelled handle", gone.Stats(), 5, 5, 0, 5},
+		{"pool", farm.Stats(), 42, 42, 1, 5},
+	} {
+		s := tc.got
+		if s.Submitted != tc.submitted || s.Executed != tc.executed || s.Panics != tc.panics ||
+			s.Canceled != tc.cancelled || s.Workers != 3 || len(s.UtilPct) != 3 {
+			t.Errorf("%s: stats %+v, want %d submitted, %d executed, %d panics, %d cancelled on 3 workers",
+				tc.name, s, tc.submitted, tc.executed, tc.panics, tc.cancelled)
+		}
 	}
 }
 

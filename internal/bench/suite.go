@@ -112,13 +112,15 @@ func RunSuite(sections []Section, opt Options, parallelism int) ([]*Table, error
 // whose metrics all carry the "farm." prefix. Those metrics are host-time
 // observations, so report.Diff exempts them from the regression gate
 // (like wall_* / host_*): they ride along in the artifact for
-// observability without ever being able to fail a comparison.
+// observability without ever being able to fail a comparison. Given the
+// Stats of a run's WithContext handle, the point counters are the run's
+// own and the pool columns cover every run on the shared pool.
 func FarmTable(fs obs.FarmStats) *Table {
 	util := fs.MeanUtilPct()
 	t := &Table{
 		Name:    "farm",
-		Title:   "Farm scheduling stats (host-time, diff-exempt)",
-		Columns: []string{"workers", "points", "steals", "queue hwm", "mean util %"},
+		Title:   "Farm scheduling stats: this run's points and steals; the shared pool's workers, queue hwm and utilization (host-time, diff-exempt)",
+		Columns: []string{"pool workers", "points", "steals", "pool queue hwm", "pool mean util %"},
 	}
 	t.Point("farm", "stats", map[string]float64{
 		"farm.workers":       float64(fs.Workers),

@@ -25,7 +25,7 @@ import (
 // testDaemon starts an in-process daemon on a short socket path (sun_path
 // is ~108 bytes; t.TempDir can exceed it) and tears it down with the
 // graceful drain.
-func testDaemon(t *testing.T, mut func(*Config)) (*Daemon, *Client) {
+func testDaemon(t testing.TB, mut func(*Config)) (*Daemon, *Client) {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "simd")
 	if err != nil {
@@ -70,7 +70,7 @@ func slowSpec(windowMs float64) RunSpec {
 }
 
 // mustRun sends a run request and requires OK.
-func mustRun(t *testing.T, c *Client, spec RunSpec, noCache bool) *Response {
+func mustRun(t testing.TB, c *Client, spec RunSpec, noCache bool) *Response {
 	t.Helper()
 	resp, err := c.Run(spec, 0, noCache, false)
 	if err != nil {

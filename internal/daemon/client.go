@@ -32,11 +32,11 @@ func (c *Client) Do(req Request) (*Response, error) {
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		return nil, fmt.Errorf("daemon client: send: %w", err)
 	}
-	var resp Response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+	resp, err := readReply(conn)
+	if err != nil {
 		return nil, fmt.Errorf("daemon client: read response: %w", err)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Run submits a run request for spec.

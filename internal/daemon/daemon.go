@@ -222,10 +222,11 @@ func (d *Daemon) handle(conn net.Conn) {
 	}
 }
 
-// respond writes the single response under the slow-client write bound.
+// respond writes the single reply (writeReply's framing) under the
+// slow-client write bound.
 func (d *Daemon) respond(conn net.Conn, resp *Response) {
 	conn.SetWriteDeadline(time.Now().Add(d.cfg.IOTimeout))
-	if err := json.NewEncoder(conn).Encode(resp); err != nil {
+	if err := writeReply(conn, resp); err != nil {
 		d.logf("daemon: response write: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -124,28 +125,58 @@ func TestDaemonExecReproduceWithTable1(t *testing.T) {
 // twelve throughput points (six systems at 1 and 16 cores) and its six
 // attack machines all run as farm points, which keeps -parallel an exact
 // bound on concurrent simulations. Alongside Figure 1 its throughputs
-// come from the run memo and add no points.
+// come from the run memo and add no points. The runs share one farm, as
+// simd's requests do, so each artifact's farm table must count its own
+// points alone, whether the runs come one after another or at once.
 func TestDaemonExecTable1RunsOnTheFarm(t *testing.T) {
-	for _, tc := range []struct {
+	farm := bench.NewFarm(2)
+	defer farm.Close()
+	cases := []struct {
 		experiments string
-		points      uint64
+		points      float64
 	}{
 		{"table1", 12 + 6},
 		{"table1,fig1", 12 + 6},
-	} {
-		farm := bench.NewFarm(2)
-		spec, err := RunSpec{Tool: "reproduce", WindowMs: 0.25, SkipSensitivity: true, Experiments: tc.experiments}.Normalize()
+	}
+	run := func(experiments string) (float64, error) {
+		spec, err := RunSpec{Tool: "reproduce", WindowMs: 0.25, SkipSensitivity: true, Experiments: experiments}.Normalize()
+		if err != nil {
+			return 0, err
+		}
+		res, err := Execute(context.Background(), farm, spec)
+		if err != nil {
+			return 0, err
+		}
+		return res.Artifact.Experiment("farm").Series[0].Points[0].Metrics["farm.executed"], nil
+	}
+	var total uint64
+	for _, tc := range cases {
+		got, err := run(tc.experiments)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Execute(context.Background(), farm, spec); err != nil {
-			t.Fatal(err)
+		if got != tc.points {
+			t.Errorf("-experiment %s: artifact's farm.executed = %v, want its own %v points", tc.experiments, got, tc.points)
 		}
-		if got := farm.Stats().Executed; got != tc.points {
-			t.Errorf("-experiment %s: farm executed %d points, want %d", tc.experiments, got, tc.points)
+		total += uint64(tc.points)
+		if got := farm.Stats().Executed; got != total {
+			t.Errorf("-experiment %s: farm executed %d points in all, want %d", tc.experiments, got, total)
 		}
-		farm.Close()
 	}
+	var wg sync.WaitGroup
+	for _, tc := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := run(tc.experiments)
+			if err != nil {
+				t.Error(err)
+			} else if got != tc.points {
+				t.Errorf("-experiment %s beside another run: farm.executed = %v, want %v", tc.experiments, got, tc.points)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDaemonExecTenantBadCounts(t *testing.T) {

@@ -44,3 +44,54 @@ func FuzzRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReply reads arbitrary bytes as a daemon reply, as Client.Do does.
+// It must never panic; an accepted reply's artifact must be exactly the
+// declared bytes after the header line, and writeReply must frame it so
+// that reading and framing it again gives the same bytes. Seeds are a
+// real store-hit run reply, an error reply and a health reply, each
+// whole and truncated.
+func FuzzReply(f *testing.F) {
+	_, c := testDaemon(f, nil)
+	mustRun(f, c, fastSpec(), false)
+	for _, req := range []Request{
+		{Op: "run", Spec: fastSpec()},
+		{Op: "run", Spec: RunSpec{Tool: "nonesuch"}},
+		{Op: "health"},
+	} {
+		raw := rawReply(f, c.Socket, req)
+		head := bytes.IndexByte(raw, '\n') + 1
+		cuts := []int{len(raw), head / 2, head - 1}
+		if head < len(raw) {
+			cuts = append(cuts, head, (head+len(raw))/2, len(raw)-1)
+		}
+		for _, n := range cuts {
+			f.Add(raw[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := readReply(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_, body, _ := bytes.Cut(data, []byte("\n"))
+		if int64(len(resp.Artifact)) != resp.ArtifactBytes || !bytes.HasPrefix(body, resp.Artifact) {
+			t.Fatalf("artifact_bytes %d but read %d bytes, not a prefix of the %d after the header",
+				resp.ArtifactBytes, len(resp.Artifact), len(body))
+		}
+		var framed, again bytes.Buffer
+		if err := writeReply(&framed, resp); err != nil {
+			t.Fatalf("framing an accepted reply: %v", err)
+		}
+		resp2, err := readReply(bytes.NewReader(framed.Bytes()))
+		if err != nil {
+			t.Fatalf("reading back a framed reply: %v", err)
+		}
+		if err := writeReply(&again, resp2); err != nil {
+			t.Fatalf("framing a read-back reply: %v", err)
+		}
+		if !bytes.Equal(framed.Bytes(), again.Bytes()) {
+			t.Fatalf("framing is not stable:\n%.300q\n%.300q", framed.Bytes(), again.Bytes())
+		}
+	})
+}

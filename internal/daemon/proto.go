@@ -1,6 +1,7 @@
 // Package daemon is the always-on simulation service behind cmd/simd: it
 // keeps one warm bench.Farm across requests, serves run requests from
-// concurrent clients over a JSON-over-unix-socket protocol, and memoizes
+// concurrent clients over a unix socket (JSON requests; each reply a JSON
+// header line followed by the raw artifact bytes), and memoizes
 // (tool, seed, normalized config, code-fingerprint) → artifact in a
 // crash-safe internal/store. Robustness is the design center (see
 // doc/DAEMON.md): every request is deadline-bounded and cancellable,
@@ -15,7 +16,12 @@
 package daemon
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"slices"
 	"sort"
 	"strconv"
@@ -92,7 +98,9 @@ type Request struct {
 	NoDegrade bool `json:"no_degrade,omitempty"`
 }
 
-// Response is the daemon's single reply.
+// Response is the daemon's single reply. On the wire it is one JSON
+// header line followed by exactly ArtifactBytes raw artifact bytes (none
+// for ping, health and error replies); the connection then closes.
 type Response struct {
 	OK      bool   `json:"ok"`
 	Err     string `json:"err,omitempty"`
@@ -102,8 +110,12 @@ type Response struct {
 	Cached   bool   `json:"cached,omitempty"`
 	Degraded bool   `json:"degraded,omitempty"`
 	Key      string `json:"key,omitempty"` // store key of the artifact
-	// Artifact is the raw internal/report JSON (op "run").
-	Artifact []byte `json:"artifact,omitempty"`
+	// ArtifactBytes is the length of the artifact that follows the header
+	// line.
+	ArtifactBytes int64 `json:"artifact_bytes,omitempty"`
+	// Artifact is the raw internal/report JSON (op "run"). It crosses the
+	// socket verbatim after the header line, never inside it.
+	Artifact []byte `json:"-"`
 	// Health is set for op "health".
 	Health *Health `json:"health,omitempty"`
 }
@@ -116,6 +128,64 @@ type Health struct {
 	Draining bool         `json:"draining"`
 	Metrics  obs.Snapshot `json:"metrics"`
 	Store    store.Stats  `json:"store"`
+}
+
+// writeReply writes resp in the reply framing: the JSON header line, with
+// ArtifactBytes set, and the artifact after it, in one vectored write.
+func writeReply(w io.Writer, resp *Response) error {
+	resp.ArtifactBytes = int64(len(resp.Artifact))
+	var head bytes.Buffer
+	if err := json.NewEncoder(&head).Encode(resp); err != nil {
+		return err
+	}
+	bufs := net.Buffers{head.Bytes(), resp.Artifact}
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// readReply reads one reply: the JSON header line, then exactly
+// ArtifactBytes artifact bytes.
+func readReply(r io.Reader) (*Response, error) {
+	br := bufio.NewReader(r)
+	head, err := br.ReadBytes('\n')
+	if err != nil {
+		return nil, fmt.Errorf("reply header: %d bytes and no newline: %w", len(head), err)
+	}
+	var resp *Response
+	if err := json.Unmarshal(head, &resp); err != nil {
+		return nil, fmt.Errorf("reply header %.80q: %w", head, err)
+	}
+	if resp == nil {
+		return nil, fmt.Errorf("reply header %q is not a JSON object", head)
+	}
+	if resp.ArtifactBytes < 0 {
+		return nil, fmt.Errorf("reply header: negative artifact_bytes %d", resp.ArtifactBytes)
+	}
+	if resp.Artifact, err = readArtifact(br, resp.ArtifactBytes); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// artifactChunk is the most readArtifact allocates before any artifact
+// byte has arrived.
+const artifactChunk = 64 << 10
+
+// readArtifact reads exactly n bytes. Each read asks for at most as many
+// bytes as have already arrived (artifactChunk at first), so a declared
+// length only costs memory once the bytes behind it come.
+func readArtifact(r io.Reader, n int64) ([]byte, error) {
+	var buf []byte
+	for int64(len(buf)) < n {
+		k := int(min(n-int64(len(buf)), max(int64(len(buf)), artifactChunk)))
+		buf = slices.Grow(buf, k)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, fmt.Errorf("artifact: %d of %d bytes: %w", len(buf), n, err)
+		}
+	}
+	return buf, nil
 }
 
 // keyDesc is the canonical store-key descriptor: the normalized spec and
