@@ -11,6 +11,7 @@
 //	attackbench [-seed 1] [-payloads replay-window,fault-storm] [-systems strict,copy]
 //	attackbench -json attacks.json     # machine-readable artifact
 //	attackbench -parallel 4            # cells fan out across a farm
+//	attackbench -cpuprofile cpu.prof   # pprof CPU profile of the run
 //
 // The run goes through daemon.Execute, the same path simd serves. Every
 // cell is an independent deterministic simulation, so the JSON
@@ -30,6 +31,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/daemon"
+	"repro/internal/obs"
 )
 
 type options struct {
@@ -39,6 +41,8 @@ type options struct {
 	parallel int
 	jsonOut  string
 	quiet    bool
+	// cpuProfile, when set, receives a pprof CPU profile of the run.
+	cpuProfile string
 }
 
 func run(opts options, stdout, stderr io.Writer) error {
@@ -47,6 +51,11 @@ func run(opts options, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	stop, err := obs.StartProfiles(opts.cpuProfile, "")
+	if err != nil {
+		return err
+	}
+	defer stop()
 	var farm *bench.Farm
 	if opts.parallel != 1 {
 		farm = bench.NewFarm(opts.parallel)
@@ -88,6 +97,7 @@ func main() {
 	flag.IntVar(&opts.parallel, "parallel", 1, "farm workers for cell parallelism (<=0 = GOMAXPROCS, 1 = serial)")
 	flag.StringVar(&opts.jsonOut, "json", "", "write a machine-readable artifact (internal/report schema) to this path")
 	flag.BoolVar(&opts.quiet, "q", false, "suppress the text matrix")
+	flag.StringVar(&opts.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	flag.Parse()
 
 	if err := run(opts, os.Stdout, os.Stderr); err != nil {

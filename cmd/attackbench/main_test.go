@@ -59,3 +59,21 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 		t.Error("unknown system accepted")
 	}
 }
+
+// TestRunWritesCPUProfile: -cpuprofile leaves a non-empty pprof file once
+// the run returns, and an uncreatable path fails the run.
+func TestRunWritesCPUProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	var stdout, stderr bytes.Buffer
+	opts := options{seed: 1, payloads: "stale-read", systems: "copy", parallel: 1, quiet: true, cpuProfile: prof}
+	if err := run(opts, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Errorf("CPU profile: %v, size %v", err, fi)
+	}
+	opts.cpuProfile = filepath.Join(t.TempDir(), "missing", "cpu.prof")
+	if err := run(opts, &stdout, &stderr); err == nil {
+		t.Error("run accepted an uncreatable -cpuprofile path")
+	}
+}

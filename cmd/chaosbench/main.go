@@ -8,6 +8,7 @@
 //	chaosbench [-seed 1] [-window 2] [-scenarios faultstorm,poolsqueeze]
 //	chaosbench -json chaos.json        # machine-readable artifact
 //	chaosbench -parallel 4             # variants fan out across a farm
+//	chaosbench -cpuprofile cpu.prof    # pprof CPU profile of the run
 //
 // The run goes through daemon.Execute, the same path simd serves. Every
 // scenario is deterministic for a given seed — the farm changes when
@@ -25,6 +26,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/daemon"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -36,6 +38,7 @@ func main() {
 	parallel := flag.Int("parallel", 1, "farm workers for variant parallelism (<=0 = GOMAXPROCS, 1 = serial)")
 	jsonOut := flag.String("json", "", "write a machine-readable artifact (internal/report schema) to this path")
 	quiet := flag.Bool("q", false, "suppress the text tables")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	flag.Parse()
 
 	spec, err := daemon.RunSpec{Tool: "chaosbench", Seed: *seed, WindowMs: *window,
@@ -43,6 +46,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("chaosbench: %v", err)
 	}
+	stop, err := obs.StartProfiles(*cpuProfile, "")
+	if err != nil {
+		log.Fatalf("chaosbench: %v", err)
+	}
+	defer stop()
 	var farm *bench.Farm
 	if *parallel != 1 {
 		farm = bench.NewFarm(*parallel)

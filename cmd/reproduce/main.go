@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/daemon"
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -84,7 +85,7 @@ func main() {
 		return
 	}
 
-	stop, err := startProfiles(*cpuProfile, *memProfile)
+	stop, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -160,22 +160,15 @@ func TestArtifactPath(t *testing.T) {
 	}
 }
 
-// TestStartProfilesWritesBoth: -cpuprofile's file is written when stop
-// runs, and so is -memprofile's heap profile.
+// TestStartProfilesWritesBoth: a run with -cpuprofile and -memprofile
+// writes both profiles by the time main returns.
 func TestStartProfilesWritesBoth(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	stop, err := startProfiles(cpu, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop()
+	runMain(t, "-window", "0.5", "-experiment", "apimicro", "-cpuprofile", cpu, "-memprofile", mem)
 	for _, p := range []string{cpu, mem} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
 			t.Errorf("%s: %v, size %v", p, err, fi)
 		}
-	}
-	if _, err := startProfiles(filepath.Join(dir, "missing", "cpu.prof"), ""); err == nil {
-		t.Error("startProfiles accepted an uncreatable CPU profile path")
 	}
 }

@@ -12,6 +12,7 @@
 //	tenantbench [-seed 1] [-schemes capability,shadow-copy] [-attacks stale-replay]
 //	tenantbench -tenants 16,256,1024 -frames 1500,256,128
 //	tenantbench -parallel 4 -json tenants.json
+//	tenantbench -cpuprofile cpu.prof   # pprof CPU profile of the run
 //
 // The run goes through daemon.Execute, the same path simd serves. Every
 // cell is an independent deterministic simulation, so the JSON
@@ -31,6 +32,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/daemon"
+	"repro/internal/obs"
 )
 
 type options struct {
@@ -42,6 +44,8 @@ type options struct {
 	parallel int
 	jsonOut  string
 	quiet    bool
+	// cpuProfile, when set, receives a pprof CPU profile of the run.
+	cpuProfile string
 }
 
 func run(opts options, stdout, stderr io.Writer) error {
@@ -50,6 +54,11 @@ func run(opts options, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	stop, err := obs.StartProfiles(opts.cpuProfile, "")
+	if err != nil {
+		return err
+	}
+	defer stop()
 	var farm *bench.Farm
 	if opts.parallel != 1 {
 		farm = bench.NewFarm(opts.parallel)
@@ -84,6 +93,7 @@ func main() {
 	flag.IntVar(&opts.parallel, "parallel", 1, "farm workers for cell parallelism (<=0 = GOMAXPROCS, 1 = serial)")
 	flag.StringVar(&opts.jsonOut, "json", "", "write a machine-readable artifact (internal/report schema) to this path")
 	flag.BoolVar(&opts.quiet, "q", false, "suppress the text tables")
+	flag.StringVar(&opts.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	flag.Parse()
 
 	if err := run(opts, os.Stdout, os.Stderr); err != nil {

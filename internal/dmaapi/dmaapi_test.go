@@ -424,3 +424,17 @@ func TestStatsCounters(t *testing.T) {
 		t.Errorf("stats: %+v", s)
 	}
 }
+
+// TestNewIdentityAllocs: an identity mapper's setup allocates one
+// spinlock per shard and almost nothing else. The shard names are built
+// once per process, and a lock's "spin:" span name only on its first
+// observed Lock; per-mapper names cost two more allocations per shard.
+func TestNewIdentityAllocs(t *testing.T) {
+	env := newEnv(2)
+	for _, mode := range []identityMode{identityStrict, identityDeferred, identitySelfInval} {
+		n := testing.AllocsPerRun(10, func() { newIdentity(env, mode, 100) })
+		if n > identityShards+8 {
+			t.Errorf("mode %d: newIdentity makes %v allocations, want at most %d", mode, n, identityShards+8)
+		}
+	}
+}

@@ -78,10 +78,19 @@ func NewSelfInval(env *Env, ttl uint64) *IdentityMapper {
 	return newIdentity(env, identitySelfInval, ttl)
 }
 
+// identLockNames names the shard locks, built once per process rather
+// than once per mapper.
+var identLockNames = func() (names [identityShards]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("ident-%d", i)
+	}
+	return names
+}()
+
 func newIdentity(env *Env, mode identityMode, ttl uint64) *IdentityMapper {
 	m := &IdentityMapper{env: env, mode: mode, ttl: ttl}
 	for i := range m.locks {
-		m.locks[i] = env.NewLock(fmt.Sprintf("ident-%d", i))
+		m.locks[i] = env.NewLock(identLockNames[i])
 	}
 	if mode == identityDeferred {
 		cores := env.Cores

@@ -71,9 +71,9 @@ func BenchmarkMemFill64K(b *testing.B) {
 }
 
 // BenchmarkMemoryLifecycle measures one machine's memory from New to
-// Release: New(2), a full-page write to each of 256 pages (two chunks),
+// Release: New(2), a full-page write to each of 256 pages (17 chunks),
 // then Release. Once the free list is warm the chunks come from it, so
-// the per-op allocation is bookkeeping only, not 2 MiB of frame storage.
+// the per-op allocation is bookkeeping only, not 1 MiB of frame storage.
 func BenchmarkMemoryLifecycle(b *testing.B) {
 	page := make([]byte, PageSize)
 	page[0] = 1
@@ -109,5 +109,29 @@ func BenchmarkMemAllocFree(b *testing.B) {
 		if err := m.FreePages(addr, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSparseFirstWrite measures a machine whose writes are spread
+// thin: New(1), a one-byte write to each of 64 pages 16 frames apart,
+// then Release. Each write is the first to its frame, so this is the
+// cost of materializing (or recycling) the storage around sparse pages.
+func BenchmarkSparseFirstWrite(b *testing.B) {
+	const pages, stride = 64, 16
+	one := []byte{1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := New(1)
+		addr, err := m.AllocPages(0, pages*stride)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := 0; p < pages; p++ {
+			if err := m.Write(addr+Phys(p*stride*PageSize), one); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.Release()
 	}
 }

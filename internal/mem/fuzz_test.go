@@ -13,7 +13,10 @@ import (
 // []byte model: writes round-trip, never-written pages read as zeros,
 // accesses to unallocated frames fail without partial effects, and
 // freeing everything returns the in-use accounting to baseline. Each
-// input releases its memory, so later inputs run on recycled chunks.
+// input releases its memory, so later inputs run on recycled chunks. The
+// regions live at once (up to 64 pages) cross the boundaries of the
+// 16-frame chunks, so accesses and copies span chunks; with 256-frame
+// chunks they never left chunk 0.
 func FuzzAccess(f *testing.F) {
 	f.Add(dmafuzz.Generate(1, 64).Encode())
 	f.Add(dmafuzz.Generate(3, 128).Encode())

@@ -3,16 +3,18 @@
 // small allocations on shared pages — the property that makes sub-page DMA
 // exposure possible (paper §4).
 //
-// Frame storage is materialized in 1 MiB chunks on the first write to a
-// page in them. A machine's owner calls Release once it has read the
-// memory for the last time (after the engine stops and any result
-// collection or sentinel audit): Release clears the bytes each frame ever
-// had written and hands the chunks to a process-wide LIFO free list that
-// the next Memory draws from before allocating, so back-to-back machines
-// reuse the same zeroed storage instead of allocating fresh. The list is
-// capped at 16 chunks (16 MiB); chunks beyond the cap are left to the
-// garbage collector. A released Memory has no domains: every later
-// access fails with an error rather than reaching recycled bytes.
+// Frame storage is materialized in 64 KiB chunks of 16 page-aligned
+// frames on the first write to a page in them; each frame's dirty
+// watermark lives beside the chunk, not in it. A machine's owner calls
+// Release once it has read the memory for the last time (after the
+// engine stops and any result collection or sentinel audit): Release
+// clears the bytes each frame ever had written and hands the chunks, in
+// one locked step, to a process-wide LIFO free list that the next Memory
+// draws from before allocating, so back-to-back machines reuse the same
+// zeroed storage instead of allocating fresh. The list is capped at 256
+// chunks (16 MiB); chunks beyond the cap are left to the garbage
+// collector. A released Memory has no domains: every later access fails
+// with an error rather than reaching recycled bytes.
 package mem
 
 import (
@@ -54,7 +56,7 @@ func (b Buf) End() Phys { return b.Addr + Phys(b.Size) }
 const domainSpan = 1 << 22
 
 // Page frames live in fixed-size chunks materialized on demand, so the
-// store is flat (two array indexings per lookup, no hashing), frame
+// store is flat (two array indexings per lookup, no hashing), page
 // pointers are stable, and the chunks — pure byte arrays — are invisible
 // to the garbage collector. Allocation liveness is tracked in a separate
 // bitmap, not in the frames: AllocPages/FreePages never touch a chunk, so
@@ -65,59 +67,39 @@ const domainSpan = 1 << 22
 // map[uint64]*page store allocated a fresh GC-tracked 4 KiB object on
 // every AllocPages, which dominated benchmark wall clock.
 const (
-	chunkShift  = 8 // 256 frames (1 MiB of data) per chunk
+	chunkShift  = 4 // 16 frames (64 KiB) per chunk
 	chunkFrames = 1 << chunkShift
 )
 
-type frame struct {
-	data [PageSize]byte
-	// dirty is the high-water mark of bytes ever written to the frame
-	// since it was last zeroed. Recycling a freed frame only needs to
-	// clear data[:dirty]; bytes beyond the watermark are zero by
-	// invariant.
-	dirty int32
-}
+// chunk is the page data of chunkFrames frames and nothing else: 64 KiB,
+// a multiple of the Go runtime's 8 KiB page, so the heap allocates it
+// with no rounding and every frame starts on a 4 KiB boundary. That is
+// why the dirty watermarks live in the domainStore: one beside each frame
+// would make the chunk 65,600 bytes, which the runtime rounds up to a
+// 72 KiB span.
+type chunk [chunkFrames][PageSize]byte
 
-// wrote widens the dirty watermark after a write of [po, po+n).
-func (f *frame) wrote(po, n int) {
-	if end := int32(po + n); end > f.dirty {
-		f.dirty = end
-	}
-}
-
-type frameChunk [chunkFrames]frame
-
-// scrub restores the chunk to all zeros, touching only written bytes.
-func (c *frameChunk) scrub() {
-	for i := range c {
-		if f := &c[i]; f.dirty > 0 {
-			clear(f.data[:f.dirty])
-			f.dirty = 0
-		}
-	}
-}
-
-// maxFreeChunks caps the process-wide chunk free list (16 MiB). At 16
-// the peak RSS of every benchmark workload stays within run-to-run
-// spread; an unbounded list grew it by a fifth.
-const maxFreeChunks = 16
+// maxFreeChunks caps the process-wide chunk free list at 256 chunks
+// (16 MiB). At 16 MiB the peak RSS of every benchmark workload stays
+// within run-to-run spread; an unbounded list grew it by a fifth.
+const maxFreeChunks = 256
 
 // chunkPool is the free list Release fills and ensure drains. It is
 // explicit rather than a sync.Pool or GC cleanup because only the
 // Memory's owner knows when nothing can still reach its frames.
 var chunkPool struct {
 	sync.Mutex
-	free []*frameChunk // zeroed chunks, LIFO
+	free []*chunk // zeroed chunks, LIFO
 }
 
 // getChunk returns a zeroed chunk, from the free list when it has one
 // (a fresh chunk is allocated, and zeroed, outside the lock).
-func getChunk() *frameChunk {
+func getChunk() *chunk {
 	chunkPool.Lock()
 	n := len(chunkPool.free)
 	if n == 0 {
 		chunkPool.Unlock()
-		return new(frameChunk)
+		return new(chunk)
 	}
 	c := chunkPool.free[n-1]
 	chunkPool.free[n-1] = nil
@@ -126,28 +108,31 @@ func getChunk() *frameChunk {
 	return c
 }
 
-// putChunk scrubs c and pushes it onto the free list. It reports false,
-// dropping c, when the list is full. The scrub runs outside the lock; if
-// concurrent releases fill the list meanwhile, c is dropped after all.
-func putChunk(c *frameChunk) bool {
-	chunkPool.Lock()
-	full := len(chunkPool.free) >= maxFreeChunks
-	chunkPool.Unlock()
-	if full {
-		return false
-	}
-	c.scrub()
+// freeRoom reports how many more chunks the free list takes.
+func freeRoom() int {
 	chunkPool.Lock()
 	defer chunkPool.Unlock()
-	if len(chunkPool.free) >= maxFreeChunks {
-		return false
-	}
-	chunkPool.free = append(chunkPool.free, c)
-	return true
+	return maxFreeChunks - len(chunkPool.free)
+}
+
+// putChunks pushes zeroed chunks onto the free list in one locked step,
+// dropping those past the cap (concurrent releases may have filled it
+// since freeRoom).
+func putChunks(cs []*chunk) {
+	chunkPool.Lock()
+	defer chunkPool.Unlock()
+	n := min(len(cs), maxFreeChunks-len(chunkPool.free))
+	chunkPool.free = append(chunkPool.free, cs[:n]...)
 }
 
 type domainStore struct {
-	chunks   []*frameChunk
+	chunks []*chunk
+	// dirty holds each frame's high-water mark of bytes written since it
+	// was last zeroed, indexed like usedBits and covering every chunk
+	// slot (len(dirty) == len(chunks)<<chunkShift). Zeroing a frame only
+	// needs to clear its first dirty bytes; bytes beyond the watermark
+	// are zero by invariant.
+	dirty    []int32
 	usedBits []uint64 // allocation bitmap, one bit per frame
 	free     []uint64 // recyclable single frames (PFNs), LIFO
 	nextPFN  uint64
@@ -171,9 +156,10 @@ func (ds *domainStore) clearUsed(idx uint64) {
 	ds.usedBits[idx>>6] &^= 1 << (idx & 63)
 }
 
-// frame returns the frame at the domain-relative index, or nil if its chunk
-// was never materialized (the page, if allocated, reads as zeros).
-func (ds *domainStore) frame(idx uint64) *frame {
+// page returns the page data of the frame at the domain-relative index,
+// or nil if its chunk was never materialized (the page, if allocated,
+// reads as zeros).
+func (ds *domainStore) page(idx uint64) *[PageSize]byte {
 	ci := idx >> chunkShift
 	if ci >= uint64(len(ds.chunks)) || ds.chunks[ci] == nil {
 		return nil
@@ -181,16 +167,51 @@ func (ds *domainStore) frame(idx uint64) *frame {
 	return &ds.chunks[ci][idx&(chunkFrames-1)]
 }
 
-// ensure returns the frame at idx, materializing its chunk if needed.
-func (ds *domainStore) ensure(idx uint64) *frame {
+// ensure returns the page at idx, materializing its chunk if needed. A
+// chunk past the slots grows them over every frame allocated so far, so
+// a run of first writes to fresh allocations grows them once.
+func (ds *domainStore) ensure(idx uint64) *[PageSize]byte {
 	ci := idx >> chunkShift
-	for uint64(len(ds.chunks)) <= ci {
-		ds.chunks = append(ds.chunks, nil)
+	if ci >= uint64(len(ds.chunks)) {
+		extent := (ds.nextPFN%domainSpan + chunkFrames - 1) >> chunkShift
+		n := max(ci+1, extent) - uint64(len(ds.chunks))
+		ds.chunks = append(ds.chunks, make([]*chunk, n)...)
+		ds.dirty = append(ds.dirty, make([]int32, n<<chunkShift)...)
 	}
 	if ds.chunks[ci] == nil {
 		ds.chunks[ci] = getChunk()
 	}
 	return &ds.chunks[ci][idx&(chunkFrames-1)]
+}
+
+// wrote widens frame idx's dirty watermark after a write of [po, po+n).
+// The frame's chunk must be materialized.
+func (ds *domainStore) wrote(idx uint64, po, n int) {
+	if end := int32(po + n); end > ds.dirty[idx] {
+		ds.dirty[idx] = end
+	}
+}
+
+// zero clears what was written to frame idx since it was last zeroed. A
+// frame past the watermarks was never written.
+func (ds *domainStore) zero(idx uint64) {
+	if idx < uint64(len(ds.dirty)) {
+		if d := ds.dirty[idx]; d > 0 {
+			clear(ds.chunks[idx>>chunkShift][idx&(chunkFrames-1)][:d])
+			ds.dirty[idx] = 0
+		}
+	}
+}
+
+// scrub restores chunk ci to all zeros, touching only written bytes. It
+// leaves the watermarks alone: they die with the store.
+func (ds *domainStore) scrub(ci int) {
+	c := ds.chunks[ci]
+	for i, d := range ds.dirty[ci<<chunkShift : (ci+1)<<chunkShift] {
+		if d > 0 {
+			clear(c[i][:d])
+		}
+	}
 }
 
 // Memory is the simulated physical memory of one machine.
@@ -206,11 +227,12 @@ type Memory struct {
 
 	// One-entry translation cache for access(): DMA copies touch the same
 	// page repeatedly (a 64 KiB transfer is 16 page-sized accesses, rings
-	// poll the same descriptor page), so remembering the last frame skips
+	// poll the same descriptor page), so remembering the last page skips
 	// the domain/chunk indexing on the hottest path. Only materialized
-	// frames are cached.
-	cachePFN uint64
-	cacheF   *frame
+	// pages are cached. A write through the cache finds its watermark by
+	// cachePFN, an index, since the watermark slice can grow.
+	cachePFN  uint64
+	cachePage *[PageSize]byte
 }
 
 // New creates a machine memory with the given number of NUMA domains.
@@ -235,15 +257,31 @@ func New(domains int) *Memory {
 // once the machine's engine has stopped and its memory has been read for
 // the last time. Releasing twice is a no-op.
 func (m *Memory) Release() {
+	n := 0
 	for d := range m.doms {
 		for _, c := range m.doms[d].chunks {
-			if c != nil && !putChunk(c) {
-				break
+			if c != nil {
+				n++
 			}
 		}
 	}
+	// Scrub, outside the lock, only the chunks the list has room for; the
+	// rest are left to the garbage collector unscrubbed.
+	keep := make([]*chunk, 0, min(n, freeRoom()))
+	for d := range m.doms {
+		ds := &m.doms[d]
+		for ci, c := range ds.chunks {
+			if c != nil && len(keep) < cap(keep) {
+				ds.scrub(ci)
+				keep = append(keep, c)
+			}
+		}
+	}
+	if len(keep) > 0 {
+		putChunks(keep)
+	}
 	m.domains, m.doms = 0, nil
-	m.cachePFN, m.cacheF = 0, nil
+	m.cachePFN, m.cachePage = 0, nil
 }
 
 // Domains returns the number of NUMA domains.
@@ -269,25 +307,28 @@ func (m *Memory) allocated(pfn uint64) bool {
 	return ok && ds.isUsed(rel)
 }
 
-// peek returns the materialized frame for pfn, or nil — either because the
+// peek returns the materialized page for pfn, or nil — either because the
 // page is unallocated or because it was never written (check allocated()
 // to tell the two apart; in the latter case the page reads as zeros).
-func (m *Memory) peek(pfn uint64) *frame {
+func (m *Memory) peek(pfn uint64) *[PageSize]byte {
 	ds, rel, ok := m.store(pfn)
 	if !ok || !ds.isUsed(rel) {
 		return nil
 	}
-	return ds.frame(rel)
+	return ds.page(rel)
 }
 
-// mut returns the frame for pfn for writing, materializing its chunk.
-// ok is false if the page is unallocated.
-func (m *Memory) mut(pfn uint64) (*frame, bool) {
+// mut returns the page for pfn for a write of [po, po+n), materializing
+// its chunk and widening its dirty watermark over the write. ok is false
+// if the page is unallocated.
+func (m *Memory) mut(pfn uint64, po, n int) (*[PageSize]byte, bool) {
 	ds, rel, ok := m.store(pfn)
 	if !ok || !ds.isUsed(rel) {
 		return nil, false
 	}
-	return ds.ensure(rel), true
+	pg := ds.ensure(rel)
+	ds.wrote(rel, po, n)
+	return pg, true
 }
 
 // ErrInjectedAllocFail is the sentinel returned when the AllocFail hook
@@ -313,12 +354,8 @@ func (m *Memory) AllocPages(domain, n int) (Phys, error) {
 		ds.free = ds.free[:len(ds.free)-1]
 		rel := base - uint64(domain)*domainSpan
 		// A fresh allocation reads as zeros; only bytes actually written
-		// since the frame was last zeroed can be stale, and only if the
-		// frame was ever materialized at all.
-		if f := ds.frame(rel); f != nil && f.dirty > 0 {
-			clear(f.data[:f.dirty])
-			f.dirty = 0
-		}
+		// since the frame was last zeroed can be stale.
+		ds.zero(rel)
 		ds.setUsed(rel)
 	} else {
 		base = ds.nextPFN
@@ -346,7 +383,7 @@ func (m *Memory) FreePages(base Phys, n int) error {
 	if !ok {
 		return fmt.Errorf("mem: FreePages outside any domain: %#x", uint64(base))
 	}
-	m.cacheF = nil // the cached frame may be in the freed range
+	m.cachePage = nil // the cached page may be in the freed range
 	for i := uint64(0); i < uint64(n); i++ {
 		if !ds.isUsed(rel + i) {
 			return fmt.Errorf("mem: double free of pfn %#x", pfn+i)
@@ -391,35 +428,31 @@ func (m *Memory) access(addr Phys, b []byte, write bool) error {
 		// Single-page access: the common case — iommu.dma splits DMA
 		// bursts at page boundaries, so every DMA copy lands here.
 		po := addr.Offset()
-		if f := m.cacheF; f != nil && m.cachePFN == first {
+		if pg := m.cachePage; pg != nil && m.cachePFN == first {
 			if write {
-				copy(f.data[po:po+len(b)], b)
-				f.wrote(po, len(b))
+				copy(pg[po:po+len(b)], b)
+				m.doms[first/domainSpan].wrote(first%domainSpan, po, len(b))
 			} else {
-				copy(b, f.data[po:po+len(b)])
+				copy(b, pg[po:po+len(b)])
 			}
 			return nil
 		}
+		ds, rel, ok := m.store(first)
+		if !ok || !ds.isUsed(rel) {
+			return fmt.Errorf("mem: access to unallocated pfn %#x", first)
+		}
+		var pg *[PageSize]byte
 		if write {
-			f, ok := m.mut(first)
-			if !ok {
-				return fmt.Errorf("mem: access to unallocated pfn %#x", first)
-			}
-			m.cachePFN, m.cacheF = first, f
-			copy(f.data[po:po+len(b)], b)
-			f.wrote(po, len(b))
-			return nil
-		}
-		f := m.peek(first)
-		if f == nil {
-			if !m.allocated(first) {
-				return fmt.Errorf("mem: access to unallocated pfn %#x", first)
-			}
+			pg = ds.ensure(rel)
+			ds.wrote(rel, po, len(b))
+			copy(pg[po:po+len(b)], b)
+		} else if pg = ds.page(rel); pg != nil {
+			copy(b, pg[po:po+len(b)])
+		} else {
 			clear(b) // allocated but never written: reads as zeros
 			return nil
 		}
-		m.cachePFN, m.cacheF = first, f
-		copy(b, f.data[po:po+len(b)])
+		m.cachePFN, m.cachePage = first, pg
 		return nil
 	}
 	// Validate the whole range first so failures have no partial effects.
@@ -437,11 +470,10 @@ func (m *Memory) access(addr Phys, b []byte, write bool) error {
 			n = len(b) - off
 		}
 		if write {
-			f, _ := m.mut(a.PFN())
-			copy(f.data[po:po+n], b[off:off+n])
-			f.wrote(po, n)
-		} else if f := m.peek(a.PFN()); f != nil {
-			copy(b[off:off+n], f.data[po:po+n])
+			pg, _ := m.mut(a.PFN(), po, n)
+			copy(pg[po:po+n], b[off:off+n])
+		} else if pg := m.peek(a.PFN()); pg != nil {
+			copy(b[off:off+n], pg[po:po+n])
 		} else {
 			clear(b[off : off+n])
 		}
@@ -482,16 +514,15 @@ func (m *Memory) Copy(dst, src Phys, n int) error {
 			chunk = c
 		}
 		do := d.Offset()
-		if sf := m.peek(s.PFN()); sf != nil {
-			df, _ := m.mut(d.PFN())
-			copy(df.data[do:do+chunk], sf.data[s.Offset():s.Offset()+chunk])
-			df.wrote(do, chunk)
-		} else if df := m.peek(d.PFN()); df != nil {
+		if sp := m.peek(s.PFN()); sp != nil {
+			dp, _ := m.mut(d.PFN(), do, chunk)
+			copy(dp[do:do+chunk], sp[s.Offset():s.Offset()+chunk])
+		} else if dp := m.peek(d.PFN()); dp != nil {
 			// Source page was never written: it reads as zeros. Clearing
 			// the destination keeps its dirty watermark conservative but
 			// correct, and skips materializing anything when the
 			// destination was never written either.
-			clear(df.data[do : do+chunk])
+			clear(dp[do : do+chunk])
 		}
 		off += chunk
 	}
@@ -529,13 +560,12 @@ func (m *Memory) Fill(b Buf, v byte) error {
 		if v == 0 {
 			// Filling with zeros only needs work where the page was ever
 			// written; an unmaterialized page already reads as zeros.
-			if f := m.peek(a.PFN()); f != nil {
-				clear(f.data[po : po+n])
+			if pg := m.peek(a.PFN()); pg != nil {
+				clear(pg[po : po+n])
 			}
 		} else {
-			f, _ := m.mut(a.PFN())
-			memset(f.data[po:po+n], v)
-			f.wrote(po, n)
+			pg, _ := m.mut(a.PFN(), po, n)
+			memset(pg[po:po+n], v)
 		}
 		off += n
 	}

@@ -3,8 +3,10 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // drainPool empties the process-wide chunk free list so a test starts
@@ -32,23 +34,25 @@ func poolLen() int {
 	return len(chunkPool.free)
 }
 
-// TestReleaseRecyclesZeroedChunk dirties a chunk through every write
-// path, releases it, and checks that the next Memory gets the very same
-// chunk back (the free list is LIFO) with every byte zero.
+// TestReleaseRecyclesZeroedChunk dirties three chunks through every
+// write path, releases them, and checks that the next Memory gets the
+// very same chunks back, most recently released first (the free list is
+// LIFO), with every byte zero.
 func TestReleaseRecyclesZeroedChunk(t *testing.T) {
 	drainPool()
 	m := New(1)
-	a, err := m.AllocPages(0, 8)
+	a, err := m.AllocPages(0, 3*chunkFrames-1) // frames 1..47: chunks 0, 1 and 2
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Write(a+10, bytes.Repeat([]byte{0xaa}, 3*PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Fill(Buf{Addr: a + 4*PageSize, Size: PageSize}, 0x5c); err != nil {
+	if err := m.Fill(Buf{Addr: a + 20*PageSize, Size: PageSize}, 0x5c); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Copy(a+5*PageSize+7, a+10, 2*PageSize); err != nil {
+	// The copy straddles the boundary between chunks 1 and 2.
+	if err := m.Copy(a+30*PageSize+7, a+10, 2*PageSize); err != nil {
 		t.Fatal(err)
 	}
 	// Free then rewrite: the recycled frame is cleared on reallocation,
@@ -66,42 +70,122 @@ func TestReleaseRecyclesZeroedChunk(t *testing.T) {
 	if err := m.Write(p+100, bytes.Repeat([]byte{0x33}, 2000)); err != nil {
 		t.Fatal(err)
 	}
-	chunk := m.doms[0].chunks[0]
-	if chunk == nil {
-		t.Fatal("writes did not materialize a chunk")
+	released := slices.Clone(m.doms[0].chunks)
+	if len(released) != 3 || slices.Contains(released, nil) {
+		t.Fatalf("writes materialized chunks %v, want chunks 0, 1 and 2", released)
 	}
 	m.Release()
-	if got := poolLen(); got != 1 {
-		t.Fatalf("free list holds %d chunks after Release, want 1", got)
+	if got := poolLen(); got != 3 {
+		t.Fatalf("free list holds %d chunks after Release, want 3", got)
 	}
 
 	m2 := New(1)
-	b, err := m2.AllocPages(0, chunkFrames-1) // every allocatable frame of chunk 0
+	b, err := m2.AllocPages(0, 3*chunkFrames-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.Write(b, []byte{1}); err != nil {
-		t.Fatal(err)
+	// Frames 1, 16 and 32 are the first written in chunks 0, 1 and 2.
+	firsts := []int{1, chunkFrames, 2 * chunkFrames}
+	for i, f := range firsts {
+		if err := m2.Write(b+Phys((f-1)*PageSize), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m2.doms[0].chunks[i], released[len(released)-1-i]; got != want {
+			t.Fatalf("chunk %d is not the released chunk %d: the free list is not LIFO", i, len(released)-1-i)
+		}
 	}
-	if m2.doms[0].chunks[0] != chunk {
-		t.Fatal("New did not reuse the most recently released chunk")
-	}
-	got := make([]byte, (chunkFrames-1)*PageSize)
+	got := make([]byte, (3*chunkFrames-1)*PageSize)
 	if err := m2.Read(b, got); err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 1 {
-		t.Fatalf("fresh write read back as %#x", got[0])
+	for _, f := range firsts {
+		off := (f - 1) * PageSize
+		if got[off] != 1 {
+			t.Fatalf("fresh write to frame %d read back as %#x", f, got[off])
+		}
+		got[off] = 0
 	}
-	if i := firstNonzero(got[1:]); i >= 0 {
-		t.Fatalf("recycled chunk not zeroed: byte %d is nonzero", i+1)
+	if i := firstNonzero(got); i >= 0 {
+		t.Fatalf("recycled chunk not zeroed: byte %d is nonzero", i)
 	}
-	for i := range chunk {
-		if f := &chunk[i]; f.dirty != 0 && !(i == 1 && f.dirty == 1) {
-			t.Fatalf("frame %d keeps dirty watermark %d", i, f.dirty)
+	for i, d := range m2.doms[0].dirty {
+		want := int32(0)
+		if slices.Contains(firsts, i) {
+			want = 1
+		}
+		if d != want {
+			t.Fatalf("frame %d has dirty watermark %d, want %d", i, d, want)
 		}
 	}
 	m2.Release()
+}
+
+// TestChunkIsPageAligned pins the chunk's geometry: exactly 64 KiB of
+// page data, a multiple of the Go runtime's 8 KiB page (so a chunk
+// allocates with no rounding), and every frame 4 KiB-aligned, whether
+// the chunk is fresh or recycled.
+func TestChunkIsPageAligned(t *testing.T) {
+	if got := unsafe.Sizeof(chunk{}); got != 65536 || got%8192 != 0 {
+		t.Fatalf("chunk is %d bytes, want 65536, a multiple of 8192", got)
+	}
+	drainPool()
+	for round := 0; round < 2; round++ { // fresh chunks, then recycled ones
+		m := New(1)
+		a, err := m.AllocPages(0, 4*chunkFrames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Fill(Buf{Addr: a, Size: 4 * chunkFrames * PageSize}, 0x7e); err != nil {
+			t.Fatal(err)
+		}
+		for ci, c := range m.doms[0].chunks {
+			for i := range c {
+				if p := uintptr(unsafe.Pointer(&c[i])); p%PageSize != 0 {
+					t.Fatalf("round %d: chunk %d frame %d at %#x is not page-aligned", round, ci, i, p)
+				}
+			}
+		}
+		m.Release()
+	}
+	drainPool()
+}
+
+// TestSparseWritesMaterializeOneChunkEach: one-byte writes to pages 16
+// frames apart each materialize exactly one 64 KiB chunk, and only the
+// chunk around the page written.
+func TestSparseWritesMaterializeOneChunkEach(t *testing.T) {
+	drainPool()
+	const pages = 64
+	m := New(1)
+	a, err := m.AllocPages(0, pages*chunkFrames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	materialized := func() int {
+		n := 0
+		for _, c := range m.doms[0].chunks {
+			if c != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < pages; i++ {
+		if err := m.Write(a+Phys(i*chunkFrames*PageSize), []byte{0xee}); err != nil {
+			t.Fatal(err)
+		}
+		if got := materialized(); got != i+1 {
+			t.Fatalf("after %d sparse writes %d chunks are materialized", i+1, got)
+		}
+	}
+	if got := materialized() * int(unsafe.Sizeof(chunk{})); got != pages<<16 {
+		t.Fatalf("%d sparse writes hold %d bytes of chunk storage, want %d", pages, got, pages<<16)
+	}
+	m.Release()
+	if got := poolLen(); got != pages {
+		t.Fatalf("free list holds %d chunks after Release, want %d", got, pages)
+	}
+	drainPool()
 }
 
 // TestReleasedMemoryRejectsAccess pins the safety half of the contract:
@@ -150,8 +234,11 @@ func TestReleasedMemoryRejectsAccess(t *testing.T) {
 }
 
 // TestChunkPoolCapped releases more chunks than the cap allows and checks
-// the free list stops at maxFreeChunks.
+// the free list stops at maxFreeChunks: 256 chunks, 16 MiB.
 func TestChunkPoolCapped(t *testing.T) {
+	if got := maxFreeChunks * unsafe.Sizeof(chunk{}); maxFreeChunks != 256 || got != 16<<20 {
+		t.Fatalf("free list cap is %d chunks, %d bytes; want 256 chunks, 16 MiB", maxFreeChunks, got)
+	}
 	drainPool()
 	for round := 0; round < 2; round++ {
 		m := New(1)

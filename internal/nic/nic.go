@@ -71,8 +71,13 @@ type Queue struct {
 	RxRing *Ring[Desc]
 	TxRing *Ring[Desc]
 
-	rxComp []RxCompletion
-	RxCond *sim.Cond
+	// rxComp collects receive completions until the driver drains them;
+	// rxSpare is the array DrainRx last returned, which collects the
+	// completions after the next drain. Swapping the two keeps a steady
+	// RX stream from regrowing a completion slice after every interrupt.
+	rxComp  []RxCompletion
+	rxSpare []RxCompletion
+	RxCond  *sim.Cond
 
 	txComp        []Desc
 	TxCond        *sim.Cond
@@ -224,10 +229,13 @@ func (q *Queue) DeliverFrame(now uint64, payload []byte) {
 	q.RxCond.SignalAt(now+res.Latency+n.cfg.Costs.IRQLatency, 1)
 }
 
-// DrainRx takes all pending receive completions (driver context).
+// DrainRx takes all pending receive completions (driver context). The
+// returned slice is valid until the next DrainRx on the queue, whose
+// array then collects new completions: a driver consumes it before it
+// drains again.
 func (q *Queue) DrainRx() []RxCompletion {
 	out := q.rxComp
-	q.rxComp = nil
+	q.rxComp, q.rxSpare = q.rxSpare[:0], out
 	return out
 }
 

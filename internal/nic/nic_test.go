@@ -308,3 +308,45 @@ func TestWireAggregatesMultipleQueues(t *testing.T) {
 		t.Errorf("aggregate TX %.1f Gb/s too low for saturating senders", gbps)
 	}
 }
+
+// TestDrainRxReusesCompletionArrays: a drained slice keeps its entries
+// while new completions arrive, until the next DrainRx; and a steady
+// deliver/drain cycle allocates nothing.
+func TestDrainRxReusesCompletionArrays(t *testing.T) {
+	r := newNICRig(1, false)
+	q := r.n.Queue(0)
+	buf, err := r.m.AllocPages(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 256)
+	deliver := func(n int) {
+		for i := 0; i < n; i++ {
+			if !q.RxRing.Post(Desc{Addr: iommu.IOVA(buf), Len: 100 + i}) {
+				t.Fatal("ring full")
+			}
+			q.DeliverFrame(0, payload)
+		}
+	}
+	deliver(2)
+	first := q.DrainRx()
+	deliver(3)
+	if len(first) != 2 || first[0].Len != 100 || first[1].Len != 101 {
+		t.Fatalf("drained completions changed before the next drain: %+v", first)
+	}
+	second := q.DrainRx()
+	if len(second) != 3 || second[2].Len != 102 {
+		t.Fatalf("second drain: %+v", second)
+	}
+	if q.HasRx() {
+		t.Fatal("completions pending after a drain")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		deliver(4)
+		if got := len(q.DrainRx()); got != 4 {
+			t.Fatalf("drained %d completions, want 4", got)
+		}
+	}); n != 0 {
+		t.Errorf("a steady deliver/drain cycle allocates: %v allocs per 4 frames", n)
+	}
+}

@@ -21,6 +21,8 @@
 //
 // Registry (registry.go, publish.go) is a separate, host-side surface:
 // the daemon's health reply names its farm.* and daemon.* metrics there.
+// So is StartProfiles (hostprof.go), the pprof CPU and heap profiles of
+// the tools' -cpuprofile and -memprofile flags.
 //
 // Everything is opt-in per engine: sim procs carry span hooks that are a
 // single nil check when no Observer is installed, the IOMMU's OnEvent hook

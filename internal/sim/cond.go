@@ -7,7 +7,7 @@ package sim
 // safe.
 type Cond struct {
 	name    string
-	waiters []*Proc
+	waiters waitQueue
 
 	// Stats
 	Waits   uint64
@@ -23,7 +23,7 @@ func (c *Cond) WaitUntil(p *Proc, pred func() bool) {
 	p.fence()
 	for !pred() {
 		c.Waits++
-		c.waiters = append(c.waiters, p)
+		c.waiters.push(p)
 		p.block()
 	}
 }
@@ -32,10 +32,8 @@ func (c *Cond) WaitUntil(p *Proc, pred func() bool) {
 // waiter spent blocked does not count as busy). Use n < 0 for broadcast.
 func (c *Cond) SignalAt(at uint64, n int) {
 	c.Signals++
-	for len(c.waiters) > 0 && n != 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		w.wake(at, false, "")
+	for c.waiters.len() > 0 && n != 0 {
+		c.waiters.pop().wake(at, false, "")
 		n--
 	}
 }

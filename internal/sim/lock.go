@@ -19,12 +19,12 @@ type LockCosts struct {
 // of spinners. Acquisition order is FIFO (ticket-lock behaviour).
 type Spinlock struct {
 	name     string
-	spanName string // "spin:"+name, precomputed so hot paths allocate nothing
+	spanName string // "spin:"+name, built on the first observed Lock
 	costs    LockCosts
 	tag      string
 
 	owner   *Proc
-	waiters []*Proc
+	waiters waitQueue
 
 	// Stats
 	Acquires   uint64
@@ -35,7 +35,7 @@ type Spinlock struct {
 // NewSpinlock creates a spinlock. Spin-wait time is accounted under tag
 // (normally cycles.TagSpinlock).
 func NewSpinlock(name, tag string, costs LockCosts) *Spinlock {
-	return &Spinlock{name: name, spanName: "spin:" + name, costs: costs, tag: tag}
+	return &Spinlock{name: name, costs: costs, tag: tag}
 }
 
 // Held reports whether the lock is currently owned (for tests/invariants).
@@ -47,6 +47,9 @@ func (l *Spinlock) Held() bool { return l.owner != nil }
 // "spin:<name>" span.
 func (l *Spinlock) Lock(p *Proc) {
 	if p.obs != nil {
+		if l.spanName == "" {
+			l.spanName = "spin:" + l.name
+		}
 		p.SpanEnter(l.spanName)
 		defer p.SpanExit()
 	}
@@ -61,10 +64,8 @@ func (l *Spinlock) Lock(p *Proc) {
 		panic("sim: recursive Lock on " + l.name + " by " + p.name)
 	}
 	l.Contended++
-	l.waiters = append(l.waiters, p)
-	if len(l.waiters) > l.MaxWaiters {
-		l.MaxWaiters = len(l.waiters)
-	}
+	l.waiters.push(p)
+	l.MaxWaiters = max(l.MaxWaiters, l.waiters.len())
 	p.block() // woken by Unlock with ownership already transferred
 }
 
@@ -74,13 +75,12 @@ func (l *Spinlock) Unlock(p *Proc) {
 	if l.owner != p {
 		panic("sim: Unlock of " + l.name + " by non-owner " + p.name)
 	}
-	if len(l.waiters) == 0 {
+	if l.waiters.len() == 0 {
 		l.owner = nil
 		return
 	}
-	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
-	penalty := l.costs.HandoffBase + l.costs.HandoffPerWaiter*uint64(len(l.waiters)+1)
+	next := l.waiters.pop()
+	penalty := l.costs.HandoffBase + l.costs.HandoffPerWaiter*uint64(l.waiters.len()+1)
 	l.owner = next
 	at := p.clock
 	if next.clock > at {
