@@ -71,9 +71,11 @@ func BenchmarkMemFill64K(b *testing.B) {
 }
 
 // BenchmarkMemoryLifecycle measures one machine's memory from New to
-// Release: New(2), a full-page write to each of 256 pages (17 chunks),
-// then Release. Once the free list is warm the chunks come from it, so
-// the per-op allocation is bookkeeping only, not 1 MiB of frame storage.
+// Release: New(2), a full-page write to each of 256 pages, then Release.
+// Each page is one non-zero line over zeros, so the writes fill 256 slots
+// of one slot block and materialize no page chunk. Once the free list is
+// warm the block comes from it, so the per-op allocation is bookkeeping
+// only, not frame storage.
 func BenchmarkMemoryLifecycle(b *testing.B) {
 	page := make([]byte, PageSize)
 	page[0] = 1
@@ -114,8 +116,9 @@ func BenchmarkMemAllocFree(b *testing.B) {
 
 // BenchmarkSparseFirstWrite measures a machine whose writes are spread
 // thin: New(1), a one-byte write to each of 64 pages 16 frames apart,
-// then Release. Each write is the first to its frame, so this is the
-// cost of materializing (or recycling) the storage around sparse pages.
+// then Release. Each write is the first to its frame and stores one line
+// in a slot, so this is the cost of the allocation bitmap, the frame
+// table and one slot block, with no page chunk materialized.
 func BenchmarkSparseFirstWrite(b *testing.B) {
 	const pages, stride = 64, 16
 	one := []byte{1}
@@ -130,6 +133,36 @@ func BenchmarkSparseFirstWrite(b *testing.B) {
 		for p := 0; p < pages; p++ {
 			if err := m.Write(addr+Phys(p*stride*PageSize), one); err != nil {
 				b.Fatal(err)
+			}
+		}
+		m.Release()
+	}
+}
+
+// BenchmarkHeaderOnlyFrames measures the NIC's RX buffer shape: New(2),
+// 256 frames, and in each a 1,500-byte frame at offsets 0 and 2048 (the
+// two kmalloc-2048 buffers of a page) that is a two-byte length header
+// over 1,498 zero bytes, then Release. Each frame stores two lines in a
+// slot, so the 256 frames fill one slot block and materialize no page
+// chunk.
+func BenchmarkHeaderOnlyFrames(b *testing.B) {
+	const frames = 256
+	rx := make([]byte, 1500)
+	rx[0], rx[1] = 0x05, 0xdc
+	b.SetBytes(2 * frames * int64(len(rx)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := New(2)
+		addr, err := m.AllocPages(0, frames)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := 0; p < frames; p++ {
+			for _, off := range []int{0, 2048} {
+				if err := m.Write(addr+Phys(p*PageSize+off), rx); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		m.Release()

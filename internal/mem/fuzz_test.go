@@ -8,19 +8,51 @@ import (
 	"repro/internal/mem"
 )
 
-// FuzzAccess drives random alloc/free/read/write/copy sequences through
-// the simulated physical memory and checks every byte against a plain
-// []byte model: writes round-trip, never-written pages read as zeros,
-// accesses to unallocated frames fail without partial effects, and
+// FuzzAccess drives random alloc/free/read/write/copy/fill sequences
+// through the simulated physical memory and checks every byte against a
+// plain []byte model: writes round-trip, never-written pages read as
+// zeros, accesses to unallocated frames fail without partial effects, and
 // freeing everything returns the in-use accounting to baseline. Each
 // input releases its memory, so later inputs run on recycled chunks. The
 // regions live at once (up to 64 pages) cross the boundaries of the
 // 16-frame chunks, so accesses and copies span chunks; with 256-frame
-// chunks they never left chunk 0.
+// chunks they never left chunk 0. The writes include the shapes a sparse
+// frame must get right: the NIC's header over a zero tail, zeros over
+// bytes written before, and fills with zero and non-zero bytes, so
+// frames move between slot lines and pages mid-sequence.
 func FuzzAccess(f *testing.F) {
 	f.Add(dmafuzz.Generate(1, 64).Encode())
 	f.Add(dmafuzz.Generate(3, 128).Encode())
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 0, 0})
+	// Headers over zero tails in four lines of one frame, zeros over part
+	// of them and a whole line of them, then checks.
+	f.Add([]byte{
+		0, 0, 3, 0, // alloc 4 pages: region 0
+		6, 0, 0, 5, // header at 5, zero tail
+		6, 0, 0, 200, // header at 200
+		2, 0, 1, 90, // 91 bytes at 64
+		7, 0, 0, 16, // zeros over 0..128
+		3, 0, 0, 255, // read 0..256
+		6, 0, 0, 70, // header at 70
+		7, 0, 0, 9, // zeros over 0..73
+		3, 0, 0, 255,
+	})
+	// Header-only frames copied at offsets that shift their lines, then a
+	// non-zero fill wide enough to promote their chunk, and zero fills.
+	f.Add([]byte{
+		0, 0, 3, 0, // region 0: frames 1..4
+		0, 0, 0, 0, // region 1: frame 5
+		6, 0, 0, 33, // header at 33 of frame 1
+		6, 0, 64, 2, // header at 4098 of frame 2
+		8, 0, 1, 3, // fill 28 bytes of 3 at 64
+		9, 0, 1, 40, // copy 641 bytes from region 0 to 89 of region 1
+		3, 1, 0, 255,
+		8, 0, 128, 255, // fill 2296 bytes of 255 at 8192: five lines and more
+		3, 0, 0, 255,
+		8, 0, 1, 0, // fill 1 zero byte at 64
+		8, 0, 129, 200, // fill 1801 zeros at 8256
+		3, 0, 128, 255,
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := mem.New(2)
@@ -40,7 +72,7 @@ func FuzzAccess(f *testing.F) {
 		}
 
 		for i := 0; i+3 < len(data); i += 4 {
-			op, a, b, c := data[i]%6, data[i+1], data[i+2], data[i+3]
+			op, a, b, c := data[i]%10, data[i+1], data[i+2], data[i+3]
 			switch op {
 			case 0: // alloc 1..4 pages on domain a%2
 				if len(regions) >= 16 {
@@ -125,6 +157,62 @@ func FuzzAccess(f *testing.F) {
 				if err := m.Read(bogus, make([]byte, 8)); err == nil {
 					t.Fatal("read of unallocated frame succeeded")
 				}
+			case 6: // an RX frame: a 1-2 byte header, then up to 1,498 zeros
+				r := pick(a)
+				if r == nil {
+					continue
+				}
+				off := (int(b)*len(r.model)/256 + int(c)) % len(r.model)
+				hdr := 1 + int(c)&1
+				n := min(hdr+int(c)*6, hdr+1498, len(r.model)-off)
+				span := make([]byte, n)
+				span[0] = c | 1
+				if n > 1 && hdr == 2 {
+					span[1] = b | 1
+				}
+				if err := m.Write(r.base+mem.Phys(off), span); err != nil {
+					t.Fatalf("header write: %v", err)
+				}
+				copy(r.model[off:off+n], span)
+			case 7: // zeros over earlier bytes: part of a line, or whole lines
+				r := pick(a)
+				if r == nil {
+					continue
+				}
+				off := int(b) * len(r.model) / 256
+				n := min(int(c)*8+1, len(r.model)-off)
+				if err := m.Write(r.base+mem.Phys(off), make([]byte, n)); err != nil {
+					t.Fatalf("zero write: %v", err)
+				}
+				clear(r.model[off : off+n])
+			case 8: // Fill with zero (c even) or with c (c odd)
+				r := pick(a)
+				if r == nil {
+					continue
+				}
+				off := int(b) * len(r.model) / 256
+				n := min(int(c)*9+1, len(r.model)-off)
+				v := c * (c & 1)
+				if err := m.Fill(mem.Buf{Addr: r.base + mem.Phys(off), Size: n}, v); err != nil {
+					t.Fatalf("fill: %v", err)
+				}
+				for j := off; j < off+n; j++ {
+					r.model[j] = v
+				}
+			case 9: // copy at offsets that shift lines, within a region too
+				src, dst := pick(a), pick(b)
+				if src == nil || dst == nil {
+					continue
+				}
+				so, do := int(a)*97%len(src.model), int(b)*89%len(dst.model)
+				n := min(int(c)*16+1, len(src.model)-so, len(dst.model)-do)
+				if src.base == dst.base && so < do+n && do < so+n {
+					continue // Copy's ranges must not overlap
+				}
+				if err := m.Copy(dst.base+mem.Phys(do), src.base+mem.Phys(so), n); err != nil {
+					t.Fatalf("copy: %v", err)
+				}
+				copy(dst.model[do:do+n], src.model[so:so+n])
 			}
 		}
 

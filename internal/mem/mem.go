@@ -3,22 +3,29 @@
 // small allocations on shared pages — the property that makes sub-page DMA
 // exposure possible (paper §4).
 //
-// Frame storage is materialized in 64 KiB chunks of 16 page-aligned
-// frames on the first write to a page in them; each frame's dirty
-// watermark lives beside the chunk, not in it. A machine's owner calls
-// Release once it has read the memory for the last time (after the
-// engine stops and any result collection or sentinel audit): Release
-// clears the bytes each frame ever had written and hands the chunks, in
-// one locked step, to a process-wide LIFO free list that the next Memory
-// draws from before allocating, so back-to-back machines reuse the same
-// zeroed storage instead of allocating fresh. The list is capped at 256
-// chunks (16 MiB); chunks beyond the cap are left to the garbage
+// Each frame keeps a mask of its 64-byte lines that may be non-zero. A
+// frame with at most four non-zero lines stores only those lines, in a
+// 256-byte slot of a per-domain arena: zero bytes written into its clean
+// lines are not stored, so an RX buffer holding a two-byte header over
+// 1,498 zero bytes costs one line, not a page. A write, Fill or Copy that
+// would give a frame a fifth non-zero line materializes the 64 KiB chunk
+// of 16 page-aligned frames around it, and every frame of that chunk
+// moves its lines into its page. A machine's owner calls Release once it
+// has read the memory for the last time (after the engine stops and any
+// result collection or sentinel audit): Release clears every dirty line
+// and used slot and hands the chunks, the arenas' slot blocks included,
+// in one locked step, to a process-wide LIFO free list that the next
+// Memory draws from before allocating, so back-to-back machines reuse the
+// same zeroed storage instead of allocating fresh. The list is capped at
+// 256 chunks (16 MiB); chunks beyond the cap are left to the garbage
 // collector. A released Memory has no domains: every later access fails
 // with an error rather than reaching recycled bytes.
 package mem
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -60,8 +67,8 @@ const domainSpan = 1 << 22
 // pointers are stable, and the chunks — pure byte arrays — are invisible
 // to the garbage collector. Allocation liveness is tracked in a separate
 // bitmap, not in the frames: AllocPages/FreePages never touch a chunk, so
-// a chunk only exists once a page in it is actually written. Pages that
-// are allocated, DMA-mapped and freed without a payload byte ever written
+// a chunk only exists once a frame in it needs a page. Pages that are
+// allocated, DMA-mapped and freed without a payload byte ever written
 // — the majority in the simulated workloads — cost no frame storage and
 // no zeroing at all; reads from them are served as zeros. The previous
 // map[uint64]*page store allocated a fresh GC-tracked 4 KiB object on
@@ -71,12 +78,26 @@ const (
 	chunkFrames = 1 << chunkShift
 )
 
+// A frame is 64 lines of 64 bytes, one bit each in a uint64 mask. A
+// sparse frame's slot holds its non-zero lines in line order, so the
+// mask is also the slot's directory: line l sits at position
+// OnesCount(lines below l) (slotOff).
+const (
+	lineShift     = 6
+	lineSize      = 1 << lineShift
+	slotLines     = 4
+	slotSize      = slotLines * lineSize
+	slotsPerFrame = PageSize / slotSize
+	slotsPerChunk = chunkFrames * slotsPerFrame
+)
+
 // chunk is the page data of chunkFrames frames and nothing else: 64 KiB,
 // a multiple of the Go runtime's 8 KiB page, so the heap allocates it
 // with no rounding and every frame starts on a 4 KiB boundary. That is
-// why the dirty watermarks live in the domainStore: one beside each frame
-// would make the chunk 65,600 bytes, which the runtime rounds up to a
-// 72 KiB span.
+// why the line masks live in the domainStore: a mask beside each frame
+// would make the chunk 65,664 bytes, which the runtime rounds up to a
+// 72 KiB span. A domain's slot arena is carved from chunks too, 256 slots
+// to a chunk, so slot storage recycles through the same free list.
 type chunk [chunkFrames][PageSize]byte
 
 // maxFreeChunks caps the process-wide chunk free list at 256 chunks
@@ -84,7 +105,7 @@ type chunk [chunkFrames][PageSize]byte
 // within run-to-run spread; an unbounded list grew it by a fifth.
 const maxFreeChunks = 256
 
-// chunkPool is the free list Release fills and ensure drains. It is
+// chunkPool is the free list Release fills and getChunk drains. It is
 // explicit rather than a sync.Pool or GC cleanup because only the
 // Memory's owner knows when nothing can still reach its frames.
 var chunkPool struct {
@@ -125,18 +146,30 @@ func putChunks(cs []*chunk) {
 	chunkPool.free = append(chunkPool.free, cs[:n]...)
 }
 
+// frame is the per-frame state beside the chunks.
+type frame struct {
+	// lines marks the 64-byte lines that may be non-zero. While the
+	// frame's chunk is not materialized these are exactly the lines its
+	// slot stores; afterwards a clear bit still means an all-zero line,
+	// so zeroing a page touches only its set lines.
+	lines uint64
+	slot  uint32 // the sparse frame's slot, 0 if it stores no line
+}
+
 type domainStore struct {
 	chunks []*chunk
-	// dirty holds each frame's high-water mark of bytes written since it
-	// was last zeroed, indexed like usedBits and covering every chunk
-	// slot (len(dirty) == len(chunks)<<chunkShift). Zeroing a frame only
-	// needs to clear its first dirty bytes; bytes beyond the watermark
-	// are zero by invariant.
-	dirty    []int32
-	usedBits []uint64 // allocation bitmap, one bit per frame
-	free     []uint64 // recyclable single frames (PFNs), LIFO
-	nextPFN  uint64
-	inUse    uint64 // allocated frames
+	// frames is indexed like usedBits and covers every chunk's frames
+	// (len(frames) == len(chunks)<<chunkShift).
+	frames []frame
+	// The slot arena. Slots are numbered from 1, so that a frame's slot
+	// 0 means none; slot s is 256 bytes of slotBlocks[(s-1)/slotsPerChunk].
+	slotBlocks []*chunk
+	freeSlots  []uint32 // LIFO
+	slots      uint32   // slots handed out so far
+	usedBits   []uint64 // allocation bitmap, one bit per frame
+	free       []uint64 // recyclable single frames (PFNs), LIFO
+	nextPFN    uint64
+	inUse      uint64 // allocated frames
 }
 
 func (ds *domainStore) isUsed(idx uint64) bool {
@@ -144,12 +177,19 @@ func (ds *domainStore) isUsed(idx uint64) bool {
 	return w < uint64(len(ds.usedBits)) && ds.usedBits[w]&(1<<(idx&63)) != 0
 }
 
-func (ds *domainStore) setUsed(idx uint64) {
-	w := idx >> 6
-	for uint64(len(ds.usedBits)) <= w {
-		ds.usedBits = append(ds.usedBits, 0)
+// setUsed marks frames [idx, idx+n) allocated, growing the bitmap once
+// and filling whole words.
+func (ds *domainStore) setUsed(idx, n uint64) {
+	end := idx + n
+	if w := (end + 63) >> 6; uint64(len(ds.usedBits)) < w {
+		ds.usedBits = append(ds.usedBits, make([]uint64, w-uint64(len(ds.usedBits)))...)
 	}
-	ds.usedBits[w] |= 1 << (idx & 63)
+	for idx < end {
+		bit := idx & 63
+		k := min(64-bit, end-idx)
+		ds.usedBits[idx>>6] |= ^uint64(0) >> (64 - k) << bit
+		idx += k
+	}
 }
 
 func (ds *domainStore) clearUsed(idx uint64) {
@@ -157,8 +197,8 @@ func (ds *domainStore) clearUsed(idx uint64) {
 }
 
 // page returns the page data of the frame at the domain-relative index,
-// or nil if its chunk was never materialized (the page, if allocated,
-// reads as zeros).
+// or nil if its chunk is not materialized (the frame, if allocated,
+// reads as zeros but for the lines in its slot).
 func (ds *domainStore) page(idx uint64) *[PageSize]byte {
 	ci := idx >> chunkShift
 	if ci >= uint64(len(ds.chunks)) || ds.chunks[ci] == nil {
@@ -167,51 +207,224 @@ func (ds *domainStore) page(idx uint64) *[PageSize]byte {
 	return &ds.chunks[ci][idx&(chunkFrames-1)]
 }
 
-// ensure returns the page at idx, materializing its chunk if needed. A
-// chunk past the slots grows them over every frame allocated so far, so
-// a run of first writes to fresh allocations grows them once.
-func (ds *domainStore) ensure(idx uint64) *[PageSize]byte {
+// grow makes chunks and frames cover frame idx. A chunk past them grows
+// them over every frame allocated so far, so a run of first writes to
+// fresh allocations grows them once.
+func (ds *domainStore) grow(idx uint64) {
 	ci := idx >> chunkShift
 	if ci >= uint64(len(ds.chunks)) {
 		extent := (ds.nextPFN%domainSpan + chunkFrames - 1) >> chunkShift
 		n := max(ci+1, extent) - uint64(len(ds.chunks))
 		ds.chunks = append(ds.chunks, make([]*chunk, n)...)
-		ds.dirty = append(ds.dirty, make([]int32, n<<chunkShift)...)
-	}
-	if ds.chunks[ci] == nil {
-		ds.chunks[ci] = getChunk()
-	}
-	return &ds.chunks[ci][idx&(chunkFrames-1)]
-}
-
-// wrote widens frame idx's dirty watermark after a write of [po, po+n).
-// The frame's chunk must be materialized.
-func (ds *domainStore) wrote(idx uint64, po, n int) {
-	if end := int32(po + n); end > ds.dirty[idx] {
-		ds.dirty[idx] = end
+		ds.frames = append(ds.frames, make([]frame, n<<chunkShift)...)
 	}
 }
 
-// zero clears what was written to frame idx since it was last zeroed. A
-// frame past the watermarks was never written.
-func (ds *domainStore) zero(idx uint64) {
-	if idx < uint64(len(ds.dirty)) {
-		if d := ds.dirty[idx]; d > 0 {
-			clear(ds.chunks[idx>>chunkShift][idx&(chunkFrames-1)][:d])
-			ds.dirty[idx] = 0
+// lineRange returns the mask of lines first through last.
+func lineRange(first, last int) uint64 {
+	return ^uint64(0) >> (63 - last) &^ (1<<first - 1)
+}
+
+// lineMask returns the lines that bytes [po, po+n) of a page touch; n > 0.
+func lineMask(po, n int) uint64 {
+	return lineRange(po>>lineShift, (po+n-1)>>lineShift)
+}
+
+// wholeLines returns the lines that bytes [po, end) cover completely.
+func wholeLines(po, end int) uint64 {
+	first, last := (po+lineSize-1)>>lineShift, end>>lineShift-1
+	if first > last {
+		return 0
+	}
+	return lineRange(first, last)
+}
+
+// at returns the part of line l that lies in [po, end).
+func at(l, po, end int) (lo, hi int) {
+	return max(l<<lineShift, po), min((l+1)<<lineShift, end)
+}
+
+// slotOff returns where page byte b, in a line the slot stores, sits in
+// the slot.
+func slotOff(lines uint64, b int) int {
+	return bits.OnesCount64(lines&(1<<(b>>lineShift)-1))<<lineShift + b&(lineSize-1)
+}
+
+var zeroPage [PageSize]byte
+
+// allZero reports whether b, at most a page, holds only zero bytes.
+func allZero(b []byte) bool {
+	return bytes.Equal(b, zeroPage[:len(b)])
+}
+
+// slot returns the bytes of slot s, which must be handed out.
+func (ds *domainStore) slot(s uint32) *[slotSize]byte {
+	e := (s - 1) % slotsPerChunk
+	return (*[slotSize]byte)(ds.slotBlocks[(s-1)/slotsPerChunk][e/slotsPerFrame][e%slotsPerFrame*slotSize:])
+}
+
+// setLines makes next the lines sparse frame idx stores: lines it
+// already stores keep their bytes, new ones start as zeros, and the
+// frame takes or gives back its slot as next becomes non-empty or empty.
+// It returns the slot, nil if next is empty.
+func (ds *domainStore) setLines(idx, next uint64) *[slotSize]byte {
+	f := &ds.frames[idx]
+	if next == 0 {
+		if f.slot != 0 {
+			ds.freeSlots = append(ds.freeSlots, f.slot)
+		}
+		*f = frame{}
+		return nil
+	}
+	if f.slot == 0 {
+		if n := len(ds.freeSlots); n > 0 {
+			f.slot = ds.freeSlots[n-1]
+			ds.freeSlots = ds.freeSlots[:n-1]
+		} else {
+			if ds.slots == uint32(len(ds.slotBlocks))*slotsPerChunk {
+				ds.slotBlocks = append(ds.slotBlocks, getChunk())
+			}
+			ds.slots++
+			f.slot = ds.slots
 		}
 	}
+	sl := ds.slot(f.slot)
+	if old := f.lines; old != next {
+		prev := *sl
+		k := 0
+		for r := next; r != 0; r &= r - 1 {
+			l := bits.TrailingZeros64(r)
+			if old&(1<<l) != 0 {
+				copy(sl[k:k+lineSize], prev[slotOff(old, l<<lineShift):])
+			} else {
+				clear(sl[k : k+lineSize])
+			}
+			k += lineSize
+		}
+		f.lines = next
+	}
+	return sl
 }
 
-// scrub restores chunk ci to all zeros, touching only written bytes. It
-// leaves the watermarks alone: they die with the store.
-func (ds *domainStore) scrub(ci int) {
-	c := ds.chunks[ci]
-	for i, d := range ds.dirty[ci<<chunkShift : (ci+1)<<chunkShift] {
-		if d > 0 {
-			clear(c[i][:d])
+// promote materializes frame idx's chunk and moves the stored lines of
+// every frame in it into their pages, giving their slots back.
+func (ds *domainStore) promote(idx uint64) *[PageSize]byte {
+	ci := idx >> chunkShift
+	c := getChunk()
+	ds.chunks[ci] = c
+	for i := range c {
+		f := &ds.frames[ci<<chunkShift+uint64(i)]
+		if f.slot == 0 {
+			continue
+		}
+		sl := ds.slot(f.slot)
+		k := 0
+		for r := f.lines; r != 0; r &= r - 1 {
+			l := bits.TrailingZeros64(r) << lineShift
+			copy(c[i][l:l+lineSize], sl[k:])
+			k += lineSize
+		}
+		ds.freeSlots = append(ds.freeSlots, f.slot)
+		f.slot = 0
+	}
+	return &c[idx&(chunkFrames-1)]
+}
+
+// write stores b at offset po of frame idx. A sparse frame stores the
+// lines b makes non-zero, drops the lines it fills with zeros, and is
+// promoted only when it would need more than slotLines lines; the scan
+// stops at the first line too many.
+func (ds *domainStore) write(idx uint64, po int, b []byte) {
+	end := po + len(b)
+	if pg := ds.page(idx); pg != nil {
+		copy(pg[po:end], b)
+		ds.frames[idx].lines |= lineMask(po, len(b))
+		return
+	}
+	ds.grow(idx)
+	next := ds.frames[idx].lines
+	// At the start and after each non-zero line, one scan tests whether
+	// the rest of b is zeros (an RX frame's tail). After a zero line the
+	// rest is known to hold a non-zero byte, so the next line is tested
+	// alone.
+	scanRest := true
+	for l := po >> lineShift; l<<lineShift < end; l++ {
+		lo, hi := at(l, po, end)
+		if scanRest && allZero(b[lo-po:]) {
+			next &^= wholeLines(lo, end)
+			break
+		}
+		if scanRest = !allZero(b[lo-po : hi-po]); !scanRest {
+			if hi-lo == lineSize {
+				next &^= 1 << l
+			}
+			continue
+		}
+		if next |= 1 << l; bits.OnesCount64(next) > slotLines {
+			copy(ds.promote(idx)[po:end], b)
+			ds.frames[idx].lines |= lineMask(po, len(b))
+			return
 		}
 	}
+	sl := ds.setLines(idx, next)
+	for r := next & lineMask(po, len(b)); r != 0; r &= r - 1 {
+		l := bits.TrailingZeros64(r)
+		lo, hi := at(l, po, end)
+		copy(sl[slotOff(next, lo):], b[lo-po:hi-po])
+	}
+}
+
+// read copies bytes [po, po+len(b)) of frame idx into b.
+func (ds *domainStore) read(idx uint64, po int, b []byte) {
+	if pg := ds.page(idx); pg != nil {
+		copy(b, pg[po:])
+		return
+	}
+	clear(b)
+	if idx >= uint64(len(ds.frames)) {
+		return
+	}
+	f := ds.frames[idx]
+	end := po + len(b)
+	for r := f.lines & lineMask(po, len(b)); r != 0; r &= r - 1 {
+		l := bits.TrailingZeros64(r)
+		lo, hi := at(l, po, end)
+		copy(b[lo-po:hi-po], ds.slot(f.slot)[slotOff(f.lines, lo):])
+	}
+}
+
+// zeroRange clears bytes [po, po+n) of frame idx, touching only the
+// lines that may be non-zero, and forgets the lines it clears whole.
+func (ds *domainStore) zeroRange(idx uint64, po, n int) {
+	if idx >= uint64(len(ds.frames)) {
+		return
+	}
+	f := &ds.frames[idx]
+	end := po + n
+	hit := f.lines & lineMask(po, n)
+	if hit == 0 {
+		return
+	}
+	pg := ds.page(idx)
+	if pg == nil {
+		sl := ds.setLines(idx, f.lines&^wholeLines(po, end))
+		for r := f.lines & hit; r != 0; r &= r - 1 {
+			l := bits.TrailingZeros64(r)
+			lo, hi := at(l, po, end)
+			p := slotOff(f.lines, lo)
+			clear(sl[p : p+hi-lo])
+		}
+		return
+	}
+	for r := hit; r != 0; {
+		l := bits.TrailingZeros64(r)
+		run := bits.TrailingZeros64(^(r >> l))
+		lo, _ := at(l, po, end)
+		_, hi := at(l+run-1, po, end)
+		clear(pg[lo:hi])
+		r &^= (1<<run - 1) << l
+	}
+	f.lines &^= wholeLines(po, end)
 }
 
 // Memory is the simulated physical memory of one machine.
@@ -229,8 +442,8 @@ type Memory struct {
 	// page repeatedly (a 64 KiB transfer is 16 page-sized accesses, rings
 	// poll the same descriptor page), so remembering the last page skips
 	// the domain/chunk indexing on the hottest path. Only materialized
-	// pages are cached. A write through the cache finds its watermark by
-	// cachePFN, an index, since the watermark slice can grow.
+	// pages are cached. A write through the cache finds its line mask by
+	// cachePFN, an index, since the frames slice can grow.
 	cachePFN  uint64
 	cachePage *[PageSize]byte
 }
@@ -251,14 +464,15 @@ func New(domains int) *Memory {
 	return m
 }
 
-// Release hands the memory's frame chunks back to the process-wide free
-// list (zeroed, up to its cap) and leaves m with no domains, so every
-// later Read, Write, Copy, Fill, AllocPages or FreePages fails. Call it
-// once the machine's engine has stopped and its memory has been read for
-// the last time. Releasing twice is a no-op.
+// Release hands the memory's chunks back to the process-wide free list
+// (zeroed, up to its cap) and leaves m with no domains, so every later
+// Read, Write, Copy, Fill, AllocPages or FreePages fails. Call it once
+// the machine's engine has stopped and its memory has been read for the
+// last time. Releasing twice is a no-op.
 func (m *Memory) Release() {
 	n := 0
 	for d := range m.doms {
+		n += len(m.doms[d].slotBlocks)
 		for _, c := range m.doms[d].chunks {
 			if c != nil {
 				n++
@@ -272,7 +486,18 @@ func (m *Memory) Release() {
 		ds := &m.doms[d]
 		for ci, c := range ds.chunks {
 			if c != nil && len(keep) < cap(keep) {
-				ds.scrub(ci)
+				for i := ci << chunkShift; i < (ci+1)<<chunkShift; i++ {
+					ds.zeroRange(uint64(i), 0, PageSize)
+				}
+				keep = append(keep, c)
+			}
+		}
+		for b, c := range ds.slotBlocks {
+			if len(keep) < cap(keep) {
+				used := min(int(ds.slots)-b*slotsPerChunk, slotsPerChunk) * slotSize
+				for i := 0; used > 0; i, used = i+1, used-PageSize {
+					clear(c[i][:min(used, PageSize)])
+				}
 				keep = append(keep, c)
 			}
 		}
@@ -307,30 +532,6 @@ func (m *Memory) allocated(pfn uint64) bool {
 	return ok && ds.isUsed(rel)
 }
 
-// peek returns the materialized page for pfn, or nil — either because the
-// page is unallocated or because it was never written (check allocated()
-// to tell the two apart; in the latter case the page reads as zeros).
-func (m *Memory) peek(pfn uint64) *[PageSize]byte {
-	ds, rel, ok := m.store(pfn)
-	if !ok || !ds.isUsed(rel) {
-		return nil
-	}
-	return ds.page(rel)
-}
-
-// mut returns the page for pfn for a write of [po, po+n), materializing
-// its chunk and widening its dirty watermark over the write. ok is false
-// if the page is unallocated.
-func (m *Memory) mut(pfn uint64, po, n int) (*[PageSize]byte, bool) {
-	ds, rel, ok := m.store(pfn)
-	if !ok || !ds.isUsed(rel) {
-		return nil, false
-	}
-	pg := ds.ensure(rel)
-	ds.wrote(rel, po, n)
-	return pg, true
-}
-
 // ErrInjectedAllocFail is the sentinel returned when the AllocFail hook
 // vetoes an allocation.
 var ErrInjectedAllocFail = fmt.Errorf("mem: injected allocation failure")
@@ -353,20 +554,17 @@ func (m *Memory) AllocPages(domain, n int) (Phys, error) {
 		base = ds.free[len(ds.free)-1]
 		ds.free = ds.free[:len(ds.free)-1]
 		rel := base - uint64(domain)*domainSpan
-		// A fresh allocation reads as zeros; only bytes actually written
+		// A fresh allocation reads as zeros; only lines actually written
 		// since the frame was last zeroed can be stale.
-		ds.zero(rel)
-		ds.setUsed(rel)
+		ds.zeroRange(rel, 0, PageSize)
+		ds.setUsed(rel, 1)
 	} else {
 		base = ds.nextPFN
 		if base+uint64(n) > uint64(domain+1)*domainSpan {
 			return 0, fmt.Errorf("mem: domain %d exhausted", domain)
 		}
 		ds.nextPFN += uint64(n)
-		rel := base - uint64(domain)*domainSpan
-		for i := uint64(0); i < uint64(n); i++ {
-			ds.setUsed(rel + i)
-		}
+		ds.setUsed(base-uint64(domain)*domainSpan, uint64(n))
 	}
 	ds.inUse += uint64(n)
 	return Phys(base << PageShift), nil
@@ -431,7 +629,7 @@ func (m *Memory) access(addr Phys, b []byte, write bool) error {
 		if pg := m.cachePage; pg != nil && m.cachePFN == first {
 			if write {
 				copy(pg[po:po+len(b)], b)
-				m.doms[first/domainSpan].wrote(first%domainSpan, po, len(b))
+				m.doms[first/domainSpan].frames[first%domainSpan].lines |= lineMask(po, len(b))
 			} else {
 				copy(b, pg[po:po+len(b)])
 			}
@@ -441,18 +639,14 @@ func (m *Memory) access(addr Phys, b []byte, write bool) error {
 		if !ok || !ds.isUsed(rel) {
 			return fmt.Errorf("mem: access to unallocated pfn %#x", first)
 		}
-		var pg *[PageSize]byte
 		if write {
-			pg = ds.ensure(rel)
-			ds.wrote(rel, po, len(b))
-			copy(pg[po:po+len(b)], b)
-		} else if pg = ds.page(rel); pg != nil {
-			copy(b, pg[po:po+len(b)])
+			ds.write(rel, po, b)
 		} else {
-			clear(b) // allocated but never written: reads as zeros
-			return nil
+			ds.read(rel, po, b)
 		}
-		m.cachePFN, m.cachePage = first, pg
+		if pg := ds.page(rel); pg != nil {
+			m.cachePFN, m.cachePage = first, pg
+		}
 		return nil
 	}
 	// Validate the whole range first so failures have no partial effects.
@@ -461,21 +655,15 @@ func (m *Memory) access(addr Phys, b []byte, write bool) error {
 			return fmt.Errorf("mem: access to unallocated pfn %#x", pfn)
 		}
 	}
-	off := 0
-	for off < len(b) {
+	for off := 0; off < len(b); {
 		a := addr + Phys(off)
 		po := a.Offset()
-		n := PageSize - po
-		if n > len(b)-off {
-			n = len(b) - off
-		}
+		n := min(PageSize-po, len(b)-off)
+		ds, rel, _ := m.store(a.PFN())
 		if write {
-			pg, _ := m.mut(a.PFN(), po, n)
-			copy(pg[po:po+n], b[off:off+n])
-		} else if pg := m.peek(a.PFN()); pg != nil {
-			copy(b[off:off+n], pg[po:po+n])
+			ds.write(rel, po, b[off:off+n])
 		} else {
-			clear(b[off : off+n])
+			ds.read(rel, po, b[off:off+n])
 		}
 		off += n
 	}
@@ -504,27 +692,35 @@ func (m *Memory) Copy(dst, src Phys, n int) error {
 		}
 	}
 	for off := 0; off < n; {
-		s := src + Phys(off)
-		d := dst + Phys(off)
-		chunk := PageSize - s.Offset()
-		if c := PageSize - d.Offset(); c < chunk {
-			chunk = c
+		s, d := src+Phys(off), dst+Phys(off)
+		so, do := s.Offset(), d.Offset()
+		c := min(PageSize-so, PageSize-do, n-off)
+		sds, srel, _ := m.store(s.PFN())
+		dds, drel, _ := m.store(d.PFN())
+		var f frame
+		if srel < uint64(len(sds.frames)) {
+			f = sds.frames[srel]
 		}
-		if c := n - off; c < chunk {
-			chunk = c
+		if sp := sds.page(srel); sp != nil && f.lines&lineMask(so, c) != 0 {
+			dds.write(drel, do, sp[so:so+c])
+		} else {
+			// The source reads as zeros but for the lines its slot
+			// stores. Copy them out first: writing the destination can
+			// rearrange or promote the source's frame.
+			lines := f.lines & lineMask(so, c)
+			var sl [slotSize]byte
+			if lines != 0 {
+				sl = *sds.slot(f.slot)
+			}
+			dds.zeroRange(drel, do, c)
+			for r := lines; r != 0; r &= r - 1 {
+				l := bits.TrailingZeros64(r)
+				lo, hi := at(l, so, so+c)
+				p := slotOff(f.lines, lo)
+				dds.write(drel, do+lo-so, sl[p:p+hi-lo])
+			}
 		}
-		do := d.Offset()
-		if sp := m.peek(s.PFN()); sp != nil {
-			dp, _ := m.mut(d.PFN(), do, chunk)
-			copy(dp[do:do+chunk], sp[s.Offset():s.Offset()+chunk])
-		} else if dp := m.peek(d.PFN()); dp != nil {
-			// Source page was never written: it reads as zeros. Clearing
-			// the destination keeps its dirty watermark conservative but
-			// correct, and skips materializing anything when the
-			// destination was never written either.
-			clear(dp[do : do+chunk])
-		}
-		off += chunk
+		off += c
 	}
 	return nil
 }
@@ -553,21 +749,26 @@ func (m *Memory) Fill(b Buf, v byte) error {
 	for off := 0; off < b.Size; {
 		a := b.Addr + Phys(off)
 		po := a.Offset()
-		n := PageSize - po
-		if n > b.Size-off {
-			n = b.Size - off
-		}
-		if v == 0 {
-			// Filling with zeros only needs work where the page was ever
-			// written; an unmaterialized page already reads as zeros.
-			if pg := m.peek(a.PFN()); pg != nil {
-				clear(pg[po : po+n])
-			}
-		} else {
-			pg, _ := m.mut(a.PFN(), po, n)
-			memset(pg[po:po+n], v)
-		}
+		n := min(PageSize-po, b.Size-off)
+		ds, rel, _ := m.store(a.PFN())
 		off += n
+		if v == 0 {
+			ds.zeroRange(rel, po, n)
+			continue
+		}
+		pg := ds.page(rel)
+		if pg == nil {
+			ds.grow(rel)
+			if bits.OnesCount64(ds.frames[rel].lines|lineMask(po, n)) <= slotLines {
+				var span [slotSize]byte // n <= slotSize: at most slotLines lines
+				memset(span[:n], v)
+				ds.write(rel, po, span[:n])
+				continue
+			}
+			pg = ds.promote(rel)
+		}
+		memset(pg[po:po+n], v)
+		ds.frames[rel].lines |= lineMask(po, n)
 	}
 	return nil
 }

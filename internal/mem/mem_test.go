@@ -90,6 +90,59 @@ func TestFreeAndReuse(t *testing.T) {
 	}
 }
 
+// TestAllocPagesRuns allocates runs of frames that start and end inside
+// words of the allocation bitmap and straddle them, on both domains, and
+// checks which frames are allocated, that freeing twice fails, and the
+// in-use accounting.
+func TestAllocPagesRuns(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		// Frame 0 is never allocated, so a pad of p frames starts the run
+		// at frame p+1: inside word 0, at the end of word 0, on word 1's
+		// first bit, and past it.
+		for _, pad := range []int{0, 1, 62, 63, 64, 100} {
+			for d := 0; d < 2; d++ {
+				m := New(2)
+				if pad > 0 {
+					if _, err := m.AllocPages(d, pad); err != nil {
+						t.Fatal(err)
+					}
+				}
+				a, err := m.AllocPages(d, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := a.PFN() % domainSpan; got != uint64(pad+1) {
+					t.Fatalf("run of %d after %d frames starts at frame %d", n, pad, got)
+				}
+				check := func(state string, wantRun bool, inUse int) {
+					t.Helper()
+					for i := -1; i <= n; i++ {
+						want := wantRun && i >= 0 && i < n || i < 0 && pad > 0
+						if got := m.Allocated(a + Phys(i*PageSize)); got != want {
+							t.Fatalf("%s: run of %d at frame %d, domain %d: frame %+d allocated = %v", state, n, pad+1, d, i, got)
+						}
+					}
+					if got := m.InUseBytes(d); got != uint64(inUse*PageSize) {
+						t.Fatalf("%s: InUseBytes(%d) = %d, want %d pages", state, d, got, inUse)
+					}
+					if got := m.InUseBytes(1 - d); got != 0 {
+						t.Fatalf("%s: the other domain has %d bytes in use", state, got)
+					}
+				}
+				check("allocated", true, pad+n)
+				if err := m.FreePages(a, n); err != nil {
+					t.Fatal(err)
+				}
+				check("freed", false, pad)
+				if err := m.FreePages(a, n); err == nil {
+					t.Fatalf("double free of a run of %d at frame %d succeeded", n, pad+1)
+				}
+				check("double-freed", false, pad)
+			}
+		}
+	}
+}
+
 func TestNUMADomains(t *testing.T) {
 	m := New(2)
 	a, _ := m.AllocPages(0, 1)
@@ -147,7 +200,7 @@ func TestZeroLengthAccess(t *testing.T) {
 
 func TestRecycledPageReadsZero(t *testing.T) {
 	// A freed-and-reallocated page must read as zeros no matter what was
-	// written before the free (the dirty-watermark zeroing path).
+	// written before the free (the dirty-line zeroing path).
 	m := New(1)
 	addr, err := m.AllocPages(0, 1)
 	if err != nil {

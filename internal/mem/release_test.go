@@ -37,7 +37,8 @@ func poolLen() int {
 // TestReleaseRecyclesZeroedChunk dirties three chunks through every
 // write path, releases them, and checks that the next Memory gets the
 // very same chunks back, most recently released first (the free list is
-// LIFO), with every byte zero.
+// LIFO), with every byte zero. The writes are at least five non-zero
+// lines wide, so they materialize page chunks, not slots.
 func TestReleaseRecyclesZeroedChunk(t *testing.T) {
 	drainPool()
 	m := New(1)
@@ -56,7 +57,7 @@ func TestReleaseRecyclesZeroedChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Free then rewrite: the recycled frame is cleared on reallocation,
-	// and the new bytes raise its dirty watermark again.
+	// and the new bytes mark its lines dirty again.
 	if err := m.FreePages(a+7*PageSize, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +75,9 @@ func TestReleaseRecyclesZeroedChunk(t *testing.T) {
 	if len(released) != 3 || slices.Contains(released, nil) {
 		t.Fatalf("writes materialized chunks %v, want chunks 0, 1 and 2", released)
 	}
+	if n := len(m.doms[0].slotBlocks); n != 0 {
+		t.Fatalf("writes of five or more lines took %d slot blocks, want 0", n)
+	}
 	m.Release()
 	if got := poolLen(); got != 3 {
 		t.Fatalf("free list holds %d chunks after Release, want 3", got)
@@ -84,10 +88,12 @@ func TestReleaseRecyclesZeroedChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frames 1, 16 and 32 are the first written in chunks 0, 1 and 2.
+	// Frames 1, 16 and 32 are the first written in chunks 0, 1 and 2,
+	// each with five lines of ones.
+	five := bytes.Repeat([]byte{1}, slotLines*lineSize+1)
 	firsts := []int{1, chunkFrames, 2 * chunkFrames}
 	for i, f := range firsts {
-		if err := m2.Write(b+Phys((f-1)*PageSize), []byte{1}); err != nil {
+		if err := m2.Write(b+Phys((f-1)*PageSize), five); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := m2.doms[0].chunks[i], released[len(released)-1-i]; got != want {
@@ -100,21 +106,21 @@ func TestReleaseRecyclesZeroedChunk(t *testing.T) {
 	}
 	for _, f := range firsts {
 		off := (f - 1) * PageSize
-		if got[off] != 1 {
-			t.Fatalf("fresh write to frame %d read back as %#x", f, got[off])
+		if i := slices.Index(got[off:off+len(five)], 0); i >= 0 {
+			t.Fatalf("fresh write to frame %d read back a zero at byte %d", f, i)
 		}
-		got[off] = 0
+		clear(got[off : off+len(five)])
 	}
 	if i := firstNonzero(got); i >= 0 {
 		t.Fatalf("recycled chunk not zeroed: byte %d is nonzero", i)
 	}
-	for i, d := range m2.doms[0].dirty {
-		want := int32(0)
+	for i, fr := range m2.doms[0].frames {
+		want := uint64(0)
 		if slices.Contains(firsts, i) {
-			want = 1
+			want = lineMask(0, len(five))
 		}
-		if d != want {
-			t.Fatalf("frame %d has dirty watermark %d, want %d", i, d, want)
+		if fr.lines != want || fr.slot != 0 {
+			t.Fatalf("frame %d has lines %#x and slot %d, want lines %#x and no slot", i, fr.lines, fr.slot, want)
 		}
 	}
 	m2.Release()
@@ -150,7 +156,18 @@ func TestChunkIsPageAligned(t *testing.T) {
 	drainPool()
 }
 
-// TestSparseWritesMaterializeOneChunkEach: one-byte writes to pages 16
+// materialized counts the chunks of m's first domain that hold pages.
+func materialized(m *Memory) int {
+	n := 0
+	for _, c := range m.doms[0].chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSparseWritesMaterializeOneChunkEach: five-line writes to pages 16
 // frames apart each materialize exactly one 64 KiB chunk, and only the
 // chunk around the page written.
 func TestSparseWritesMaterializeOneChunkEach(t *testing.T) {
@@ -161,30 +178,95 @@ func TestSparseWritesMaterializeOneChunkEach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	materialized := func() int {
-		n := 0
-		for _, c := range m.doms[0].chunks {
-			if c != nil {
-				n++
-			}
-		}
-		return n
-	}
+	five := bytes.Repeat([]byte{0xee}, slotLines*lineSize+1)
 	for i := 0; i < pages; i++ {
-		if err := m.Write(a+Phys(i*chunkFrames*PageSize), []byte{0xee}); err != nil {
+		if err := m.Write(a+Phys(i*chunkFrames*PageSize), five); err != nil {
 			t.Fatal(err)
 		}
-		if got := materialized(); got != i+1 {
+		if got := materialized(m); got != i+1 {
 			t.Fatalf("after %d sparse writes %d chunks are materialized", i+1, got)
 		}
 	}
-	if got := materialized() * int(unsafe.Sizeof(chunk{})); got != pages<<16 {
+	if got := materialized(m) * int(unsafe.Sizeof(chunk{})); got != pages<<16 {
 		t.Fatalf("%d sparse writes hold %d bytes of chunk storage, want %d", pages, got, pages<<16)
 	}
 	m.Release()
 	if got := poolLen(); got != pages {
 		t.Fatalf("free list holds %d chunks after Release, want %d", got, pages)
 	}
+	drainPool()
+}
+
+// TestHeaderOnlyFramesStoreOneLine writes the NIC's RX frame shape, a
+// two-byte header over 1,498 zero bytes, into 64 frames: no chunk is
+// materialized, each frame stores the one line its header is in, the
+// frames read back exactly, and a fifth non-zero line then promotes a
+// frame's chunk without losing the lines its slot held.
+func TestHeaderOnlyFramesStoreOneLine(t *testing.T) {
+	drainPool()
+	const pages = 64
+	m := New(1)
+	a, err := m.AllocPages(0, pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := make([]byte, 1500)
+	for i := 0; i < pages; i++ {
+		rx[0], rx[1] = byte(i), 0xff
+		if err := m.Write(a+Phys(i*PageSize), rx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := materialized(m); got != 0 {
+		t.Fatalf("%d header-only writes materialized %d chunks, want 0", pages, got)
+	}
+	ds := &m.doms[0]
+	for i := 1; i <= pages; i++ {
+		if f := ds.frames[i]; f.lines != 1 || f.slot == 0 {
+			t.Fatalf("frame %d has lines %#x and slot %d, want line 0 in a slot", i, f.lines, f.slot)
+		}
+	}
+	if got := len(ds.slotBlocks); got != 1 {
+		t.Fatalf("%d one-line frames hold %d slot blocks, want 1", pages, got)
+	}
+	got := make([]byte, len(rx))
+	for i := 0; i < pages; i++ {
+		rx[0], rx[1] = byte(i), 0xff
+		if err := m.Read(a+Phys(i*PageSize), got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, rx) {
+			t.Fatalf("frame %d read back %x..., want %x...", i+1, got[:4], rx[:4])
+		}
+	}
+	// Three more lines in the last frame of chunk 0 (frame 15) fill its
+	// slot; a fifth then promotes the chunk.
+	last := a + 14*PageSize
+	if err := m.Fill(Buf{Addr: last + 1024, Size: 3 * lineSize}, 0x11); err != nil {
+		t.Fatal(err)
+	}
+	if got := materialized(m); got != 0 {
+		t.Fatalf("a frame of four non-zero lines materialized %d chunks, want 0", got)
+	}
+	if err := m.Write(last+3000, []byte{0x22}); err != nil {
+		t.Fatal(err)
+	}
+	if got := materialized(m); got != 1 {
+		t.Fatalf("a fifth non-zero line materialized %d chunks, want 1", got)
+	}
+	for i := 0; i < chunkFrames-1; i++ {
+		if f := ds.frames[1+i]; f.slot != 0 {
+			t.Fatalf("frame %d kept slot %d after its chunk was promoted", 1+i, f.slot)
+		}
+		rx[0], rx[1] = byte(i), 0xff
+		if err := m.Read(a+Phys(i*PageSize), got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:2], rx[:2]) || firstNonzero(got[2:1024]) >= 0 {
+			t.Fatalf("frame %d lost its header in the promotion", 1+i)
+		}
+	}
+	m.Release()
 	drainPool()
 }
 
@@ -247,8 +329,9 @@ func TestChunkPoolCapped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		five := bytes.Repeat([]byte{0xee}, slotLines*lineSize+1)
 		for i := 0; i < chunks; i++ {
-			if err := m.Write(a+Phys(i*chunkFrames*PageSize), []byte{0xee}); err != nil {
+			if err := m.Write(a+Phys(i*chunkFrames*PageSize), five); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -295,6 +378,13 @@ func TestChunkPoolRace(t *testing.T) {
 						return
 					}
 				}
+				// The 512-byte pattern is eight lines, so every chunk
+				// holding a written page is materialized, from the
+				// shared list once earlier rounds have released theirs.
+				if cs := m.doms[r%2].chunks; len(cs) == 0 || slices.Contains(cs, nil) {
+					errs <- fmt.Errorf("worker %d round %d: written pages did not materialize their chunks", w, r)
+					return
+				}
 				for i := 0; i < pages; i++ {
 					if err := m.Read(a+Phys(i*PageSize), got); err != nil {
 						errs <- err
@@ -322,7 +412,7 @@ func TestChunkPoolRace(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := poolLen(); got > maxFreeChunks {
-		t.Errorf("free list holds %d chunks, over the cap %d", got, maxFreeChunks)
+	if got := poolLen(); got == 0 || got > maxFreeChunks {
+		t.Errorf("free list holds %d chunks, want 1 to the cap %d", got, maxFreeChunks)
 	}
 }
