@@ -46,15 +46,16 @@ func memcached(mach *Machine, cfg Config) (KVResult, *obs.Profile, error) {
 	cores := cfg.Cores
 	scfg := kv.DefaultServerConfig()
 	ccfg := kv.DefaultClientConfig()
+	keys := kv.DefaultKeys()
 	stores := make([]*kv.Store, cores)
 	stats := make([]kv.ServerStats, cores)
 	clients := make([]*kv.Client, cores)
 	for c := range stores {
 		stores[c] = kv.NewStore(mach.Mem, mach.Kmal)
-		if err := kv.Prepopulate(stores[c], mach.Env.DomainOfCore(c), scfg); err != nil {
+		if err := kv.Prepopulate(stores[c], mach.Env.DomainOfCore(c), keys, scfg); err != nil {
 			return KVResult{}, nil, err
 		}
-		clients[c] = kv.NewClient(mach.Eng, mach.NIC, c, cfg.Costs, ccfg)
+		clients[c] = kv.NewClient(mach.Eng, mach.NIC, c, cfg.Costs, ccfg, keys)
 	}
 	servers := mach.SpawnCores("memcached", 0, cores, func(p *sim.Proc, c int) error {
 		return kv.RunServer(p, mach.Driver, stores[c], c, scfg, &stats[c])

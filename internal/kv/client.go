@@ -8,8 +8,6 @@ import (
 
 // ClientConfig parameterizes one memslap-style load generator.
 type ClientConfig struct {
-	KeySpace  int
-	KeySize   int
 	ValueSize int
 	GetRatio  int // percent of GETs (memslap default: 90)
 	Window    int // outstanding requests per connection
@@ -17,17 +15,18 @@ type ClientConfig struct {
 
 // DefaultClientConfig matches the paper's memslap configuration.
 func DefaultClientConfig() ClientConfig {
-	return ClientConfig{KeySpace: 2048, KeySize: 64, ValueSize: 1024, GetRatio: 90, Window: 24}
+	return ClientConfig{ValueSize: 1024, GetRatio: 90, Window: 24}
 }
 
 // Client is a remote memslap instance bound to one server queue. Like the
 // netperf traffic source it is not a simulated CPU; it respects the wire,
 // receive credits and a bounded request window.
 type Client struct {
-	eng *sim.Engine
-	src *nic.Source
-	cfg ClientConfig
-	qi  int
+	eng  *sim.Engine
+	src  *nic.Source
+	cfg  ClientConfig
+	keys []string // the key space requests draw from
+	qi   int
 
 	expected    []int // FIFO of expected response sizes
 	respAcc     int
@@ -53,7 +52,7 @@ func (c *Client) isGet(seq int) bool {
 }
 
 func (c *Client) keyOf(seq int) string {
-	return Key(int(mix(uint64(seq)*31+7)%uint64(c.cfg.KeySpace)), c.cfg.KeySize)
+	return c.keys[mix(uint64(seq)*31+7)%uint64(len(c.keys))]
 }
 
 func (c *Client) requestBytes(seq int) []byte {
@@ -74,9 +73,10 @@ func (c *Client) responseSize(seq int) int {
 	return SetResponseSize
 }
 
-// NewClient builds the load generator for server queue qi.
-func NewClient(eng *sim.Engine, n *nic.NIC, qi int, costs *cycles.Costs, cfg ClientConfig) *Client {
-	c := &Client{eng: eng, cfg: cfg, qi: qi}
+// NewClient builds the load generator for server queue qi, drawing keys
+// from keys (a table from Keys, shared with the server's store).
+func NewClient(eng *sim.Engine, n *nic.NIC, qi int, costs *cycles.Costs, cfg ClientConfig, keys []string) *Client {
+	c := &Client{eng: eng, cfg: cfg, keys: keys, qi: qi}
 	c.src = nic.NewSource(eng, n.Queue(qi), costs, 0, n.Config().MTU, false)
 	c.src.SetSizeFn(func(seq int) int { return len(c.requestBytes(seq)) })
 	c.src.SetPayload(func(seq, frameIdx int, b []byte) {

@@ -141,6 +141,9 @@ func TestKeyFixedWidth(t *testing.T) {
 	if Key(1, 64) == Key(2, 64) {
 		t.Error("keys must differ")
 	}
+	if keys := Keys(3, 64); len(keys) != 3 || keys[2] != Key(2, 64) {
+		t.Errorf("Keys(3, 64) = %q", keys)
+	}
 }
 
 func TestEndToEndMemcached(t *testing.T) {
@@ -159,8 +162,8 @@ func TestEndToEndMemcached(t *testing.T) {
 
 	store := NewStore(m, k)
 	scfg := DefaultServerConfig()
-	scfg.KeySpace = 64
-	if err := Prepopulate(store, 0, scfg); err != nil {
+	keys := Keys(64, 64)
+	if err := Prepopulate(store, 0, keys, scfg); err != nil {
 		t.Fatal(err)
 	}
 	var st ServerStats
@@ -169,9 +172,7 @@ func TestEndToEndMemcached(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	ccfg := DefaultClientConfig()
-	ccfg.KeySpace = 64
-	client := NewClient(eng, n, 0, costs, ccfg)
+	client := NewClient(eng, n, 0, costs, DefaultClientConfig(), keys)
 	client.Start(cycles.FromMicros(100))
 	eng.Run(cycles.FromMillis(5))
 	eng.Stop()

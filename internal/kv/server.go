@@ -13,16 +13,14 @@ type ServerConfig struct {
 	// lookup, LRU, item handling). Default ~4us, putting per-request
 	// service time in real memcached territory.
 	OpCycles uint64
-	// KeySpace and sizes used for prepopulation.
-	KeySpace  int
-	KeySize   int
+	// ValueSize is the size of each prepopulated value.
 	ValueSize int
 }
 
-// DefaultServerConfig matches the paper's memslap setup (64 B keys, 1 KiB
-// values).
+// DefaultServerConfig matches the paper's memslap setup (1 KiB values;
+// DefaultKeys holds its 64 B keys).
 func DefaultServerConfig() ServerConfig {
-	return ServerConfig{OpCycles: 9600, KeySpace: 2048, KeySize: 64, ValueSize: 1024}
+	return ServerConfig{OpCycles: 9600, ValueSize: 1024}
 }
 
 // ServerStats accumulates one instance's results.
@@ -34,18 +32,18 @@ type ServerStats struct {
 	Tx       netstack.TxStats
 }
 
-// Prepopulate fills the store with the benchmark key space so GETs hit
+// Prepopulate fills the store with every key of keys so GETs hit
 // (memslap warms the cache before measuring).
-func Prepopulate(st *Store, domain int, cfg ServerConfig) error {
+func Prepopulate(st *Store, domain int, keys []string, cfg ServerConfig) error {
 	if len(st.table) == 0 {
-		st.table = make(map[string]mem.Buf, cfg.KeySpace)
+		st.table = make(map[string]mem.Buf, len(keys))
 	}
 	val := make([]byte, cfg.ValueSize)
 	for i := range val {
 		val[i] = byte(i)
 	}
-	for i := 0; i < cfg.KeySpace; i++ {
-		if err := st.Set(domain, Key(i, cfg.KeySize), val); err != nil {
+	for _, k := range keys {
+		if err := st.Set(domain, k, val); err != nil {
 			return err
 		}
 	}

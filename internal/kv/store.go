@@ -66,9 +66,23 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 // Len returns the number of stored keys.
 func (s *Store) Len() int { return len(s.table) }
 
+// Keys returns the benchmark key table, Key(i, keySize) for every i below
+// keySpace. A machine builds it once and hands it to all of its stores
+// and clients, which share the strings.
+func Keys(keySpace, keySize int) []string {
+	keys := make([]string, keySpace)
+	for i := range keys {
+		keys[i] = Key(i, keySize)
+	}
+	return keys
+}
+
+// DefaultKeys is the key table of the paper's memslap setup: 2,048 keys of
+// 64 bytes.
+func DefaultKeys() []string { return Keys(2048, 64) }
+
 // Key builds the canonical fixed-width benchmark key for index i:
-// "key-" + 10 zero-padded digits, '.'-padded/truncated to keySize. One
-// allocation — the load generator calls this per request.
+// "key-" + 10 zero-padded digits, '.'-padded/truncated to keySize.
 func Key(i, keySize int) string {
 	if i < 0 {
 		i = 0

@@ -168,3 +168,45 @@ func BenchmarkHeaderOnlyFrames(b *testing.B) {
 		m.Release()
 	}
 }
+
+// pageMapSink keeps BenchmarkPageMapDense's reads live.
+var pageMapSink int32
+
+// BenchmarkPageMapDense measures Get through the last-leaf cache over
+// 4,096 consecutive pages: eight full leaves, each read 512 times in a
+// row, as a queue's ring buffers or a slab's pages are.
+func BenchmarkPageMapDense(b *testing.B) {
+	const pages, base = 4096, 1<<35 - 1<<16
+	var m PageMap[int32]
+	for p := uint64(0); p < pages; p++ {
+		m.Set(base+p, int32(p+1))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum int32
+	for i := 0; i < b.N; i++ {
+		sum += m.Get(base + uint64(i)%pages)
+	}
+	pageMapSink = sum
+}
+
+// BenchmarkPageMapStride measures building a table shaped like the shadow
+// pool's IOMMU page table at 64 cores: a fresh map, then 64 regions (one
+// per owner core, 2^28 pages apart) of 256 pages each at a stride of 64,
+// so each of the 2,048 leaves holds eight entries.
+func BenchmarkPageMapStride(b *testing.B) {
+	const regions, perRegion, stride = 64, 256, 64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var m PageMap[int32]
+		for r := uint64(0); r < regions; r++ {
+			base := 1<<35 | r<<28
+			for k := uint64(0); k < perRegion; k++ {
+				m.Set(base+k*stride, int32(k+1))
+			}
+		}
+		if m.Len() != regions*perRegion {
+			b.Fatalf("Len = %d", m.Len())
+		}
+	}
+}

@@ -79,7 +79,14 @@ type Queue struct {
 	rxSpare []RxCompletion
 	RxCond  *sim.Cond
 
+	// txComp and txSpare are DrainTx's two arrays, as rxComp and rxSpare
+	// are DrainRx's. txDone carries completions to txComp after the IRQ
+	// latency, and txFetch is deviceTx, made once so a post allocates
+	// nothing.
 	txComp        []Desc
+	txSpare       []Desc
+	txDone        *sim.Stream[Desc]
+	txFetch       func(now uint64)
 	TxCond        *sim.Cond
 	txOutstanding int // posted but not yet completed (bounds in-flight)
 
@@ -121,14 +128,17 @@ func New(eng *sim.Engine, u *iommu.IOMMU, cfg Config) *NIC {
 		txWire: NewWire(cfg.Costs),
 	}
 	for i := 0; i < cfg.Queues; i++ {
-		n.queues = append(n.queues, &Queue{
+		q := &Queue{
 			nic:    n,
 			idx:    i,
 			RxRing: NewRing(cfg.RingSize),
 			TxRing: NewRing(cfg.RingSize),
 			RxCond: sim.NewCond("rx"),
 			TxCond: sim.NewCond("tx"),
-		})
+		}
+		q.txDone = sim.NewStream(eng, q.txCompleted)
+		q.txFetch = q.deviceTx
+		n.queues = append(n.queues, q)
 		// Attach-time interrupt setup: the OS grants one MSI vector per
 		// queue pair, programming the IOMMU's interrupt-remapping table.
 		// Anything else the device signals is spurious (iommu/msi.go).
@@ -257,7 +267,7 @@ func (q *Queue) PostTx(p *sim.Proc, d Desc) bool {
 		return false
 	}
 	q.txOutstanding++
-	q.nic.eng.Schedule(p.Now(), q.deviceTx)
+	q.nic.eng.Schedule(p.Now(), q.txFetch)
 	return true
 }
 
@@ -274,8 +284,11 @@ func (q *Queue) deviceTx(now uint64) {
 		if n.u.Blocked(n.cfg.Dev) {
 			// Quarantined: skip the payload fetch entirely and complete
 			// the descriptor as an error, so the driver never wedges on
-			// a ring the hardware will not drain.
-			q.completeTx(now, d)
+			// a ring the hardware will not drain. It completes at now,
+			// which may precede completions already in txDone, so it
+			// takes an engine event of its own.
+			q.raiseTx()
+			n.eng.Schedule(now+n.cfg.Costs.IRQLatency, func(at uint64) { q.txCompleted(at, d) })
 			continue
 		}
 		if n.TxDMAHook != nil {
@@ -324,20 +337,35 @@ func (q *Queue) deviceTx(now uint64) {
 	}
 }
 
+// completeTx raises the TX interrupt for d, whose completion reaches the
+// driver after the IRQ latency. The fetch and fault paths complete a
+// queue's descriptors at nondecreasing times (each starts no earlier than
+// txBusyTill, which only grows), so they share the queue's stream.
 func (q *Queue) completeTx(at uint64, d Desc) {
-	n := q.nic
-	n.u.MSIWrite(n.cfg.Dev, iommu.MSIBase, msiVector(q.idx))
-	n.eng.Schedule(at+n.cfg.Costs.IRQLatency, func(now uint64) {
-		q.txOutstanding--
-		q.txComp = append(q.txComp, d)
-		q.TxCond.SignalAt(now, 1)
-	})
+	q.raiseTx()
+	q.txDone.Schedule(at+q.nic.cfg.Costs.IRQLatency, d)
 }
 
-// DrainTx takes all pending transmit completions (driver context).
+// raiseTx writes the queue's MSI doorbell for a TX completion.
+func (q *Queue) raiseTx() {
+	n := q.nic
+	n.u.MSIWrite(n.cfg.Dev, iommu.MSIBase, msiVector(q.idx))
+}
+
+// txCompleted hands d's completion to the driver (engine context).
+func (q *Queue) txCompleted(now uint64, d Desc) {
+	q.txOutstanding--
+	q.txComp = append(q.txComp, d)
+	q.TxCond.SignalAt(now, 1)
+}
+
+// DrainTx takes all pending transmit completions (driver context). The
+// returned slice is valid until the next DrainTx on the queue, whose
+// array then collects new completions: a driver consumes it before it
+// drains again.
 func (q *Queue) DrainTx() []Desc {
 	out := q.txComp
-	q.txComp = nil
+	q.txComp, q.txSpare = q.txSpare[:0], out
 	return out
 }
 

@@ -350,3 +350,46 @@ func TestDrainRxReusesCompletionArrays(t *testing.T) {
 		t.Errorf("a steady deliver/drain cycle allocates: %v allocs per 4 frames", n)
 	}
 }
+
+// TestTxCycleAllocatesNothing: a steady post/complete/drain cycle
+// allocates nothing, and completions reach the driver in posting order.
+func TestTxCycleAllocatesNothing(t *testing.T) {
+	r := newNICRig(1, true)
+	q := r.n.Queue(0)
+	buf, err := r.m.AllocPages(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	hasTx := q.HasTx
+	r.eng.Spawn("drv", 0, 0, func(p *sim.Proc) {
+		for {
+			for i := 0; i < 4; i++ {
+				if !q.PostTx(p, Desc{Addr: iommu.IOVA(buf), Len: 1000 + i}) {
+					t.Error("post failed")
+					return
+				}
+			}
+			for got := 0; got < 4; {
+				q.TxCond.WaitUntil(p, hasTx)
+				for _, d := range q.DrainTx() {
+					if d.Len != 1000+got {
+						t.Errorf("completion %d has length %d", got, d.Len)
+					}
+					got++
+				}
+			}
+			rounds++
+		}
+	})
+	step := cycles.FromMicros(10)
+	r.eng.Run(step)
+	before := rounds
+	if n := testing.AllocsPerRun(20, func() { r.eng.Run(r.eng.Now() + step) }); n != 0 {
+		t.Errorf("a steady TX cycle allocates: %v allocs per %v", n, step)
+	}
+	r.eng.Stop()
+	if rounds-before < 20 {
+		t.Fatalf("only %d TX rounds ran", rounds-before)
+	}
+}

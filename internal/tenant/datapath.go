@@ -18,13 +18,36 @@ type dpJob struct {
 }
 
 // dpQueue is one trusted datapath core's completion queue. The device
-// (engine context) appends; the proc drains in poll order. Tenants hash
+// (engine context) pushes; the proc pops in poll order. Tenants hash
 // onto queues by ID, so one tenant's completions stay ordered.
 type dpQueue struct {
 	proc *sim.Proc
 	cond *sim.Cond
-	jobs []dpJob
+	ring []dpJob // FIFO; len is zero or a power of two
 	head int
+	n    int
+}
+
+// push appends j at the tail, doubling the ring when it is full.
+func (q *dpQueue) push(j dpJob) {
+	if q.n == len(q.ring) {
+		ring := make([]dpJob, max(2*len(q.ring), 16))
+		for i := 0; i < q.n; i++ {
+			ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+		}
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = j
+	q.n++
+}
+
+// pop removes and returns the oldest job. The queue must not be empty.
+func (q *dpQueue) pop() dpJob {
+	j := q.ring[q.head]
+	q.ring[q.head] = dpJob{}
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return j
 }
 
 func (m *Machine) spawnDatapath() {
@@ -34,18 +57,11 @@ func (m *Machine) spawnDatapath() {
 	}
 	for i, q := range m.procs {
 		q := q
+		ready := func() bool { return q.n > 0 }
 		q.proc = m.Eng.Spawn(fmt.Sprintf("tenant-dp%d", i), i, 0, func(p *sim.Proc) {
 			for {
-				q.cond.WaitUntil(p, func() bool { return q.head < len(q.jobs) })
-				j := q.jobs[q.head]
-				q.jobs[q.head] = dpJob{}
-				q.head++
-				if q.head == len(q.jobs) {
-					// Queue drained: recycle the backing array.
-					q.jobs = q.jobs[:0]
-					q.head = 0
-				}
-				m.scheme.complete(m, q, j)
+				q.cond.WaitUntil(p, ready)
+				m.scheme.complete(m, q, q.pop())
 			}
 		})
 	}
@@ -56,7 +72,7 @@ func (m *Machine) spawnDatapath() {
 func (m *Machine) enqueue(t *Tenant, j dpJob, at uint64) {
 	q := m.procs[t.ID%len(m.procs)]
 	m.Eng.Schedule(at, func(when uint64) {
-		q.jobs = append(q.jobs, j)
+		q.push(j)
 		q.cond.SignalAt(when, 1)
 	})
 }
@@ -65,20 +81,23 @@ func (m *Machine) enqueue(t *Tenant, j dpJob, at uint64) {
 // back-to-back, round-robin across benign tenants, with the hostile
 // tenant (when mounted) taking every 4th frame — an elephant flow that
 // keeps attack descriptors executing and, post-quarantine, models flood
-// traffic still occupying wire share.
+// traffic still occupying wire share. Exactly one frame is on the wire at
+// a time, so its target lives in one variable and both callbacks are made
+// once, not per frame.
 func (m *Machine) startIngress() {
-	var next func(now uint64)
 	seq := 0
-	next = func(now uint64) {
-		t := m.pickTarget(seq)
+	var t *Tenant
+	var arrive func(when uint64)
+	send := func(now uint64) {
+		t = m.pickTarget(seq)
 		seq++
-		end := m.Wire.Reserve(now, m.cfg.FrameSize)
-		m.Eng.Schedule(end, func(when uint64) {
-			m.deliverFrame(t, when)
-			next(when)
-		})
+		m.Eng.Schedule(m.Wire.Reserve(now, m.cfg.FrameSize), arrive)
 	}
-	m.Eng.Schedule(0, next)
+	arrive = func(when uint64) {
+		m.deliverFrame(t, when)
+		send(when)
+	}
+	m.Eng.Schedule(0, send)
 }
 
 func (m *Machine) pickTarget(seq int) *Tenant {

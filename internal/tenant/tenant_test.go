@@ -187,3 +187,36 @@ func TestFramesLargerThanDefaultBufferAreWhole(t *testing.T) {
 		}
 	}
 }
+
+// TestDpQueueRing: completions leave a datapath queue in arrival order
+// across the ring's wrap and while it grows wrapped, and a steady
+// push/pop cycle allocates nothing.
+func TestDpQueueRing(t *testing.T) {
+	var q dpQueue
+	next, want := 0, 0
+	push := func(k int) {
+		for i := 0; i < k; i++ {
+			q.push(dpJob{n: next})
+			next++
+		}
+	}
+	pop := func(k int) {
+		for i := 0; i < k; i++ {
+			if j := q.pop(); j.n != want {
+				t.Fatalf("popped job %d, want %d", j.n, want)
+			}
+			want++
+		}
+	}
+	push(10)
+	pop(7)
+	push(12) // wraps the 16-slot ring
+	push(5)  // grows it while wrapped
+	pop(q.n)
+	if q.n != 0 || want != next {
+		t.Fatalf("%d jobs left, %d of %d popped", q.n, want, next)
+	}
+	if n := testing.AllocsPerRun(100, func() { push(8); pop(8) }); n != 0 {
+		t.Errorf("a steady push/pop cycle allocates %v times", n)
+	}
+}
