@@ -12,6 +12,7 @@
 //	attackbench -json attacks.json     # machine-readable artifact
 //	attackbench -parallel 4            # cells fan out across a farm
 //	attackbench -cpuprofile cpu.prof   # pprof CPU profile of the run
+//	attackbench -memprofile mem.prof   # pprof heap profile at its end
 //
 // The run goes through daemon.Execute, the same path simd serves. Every
 // cell is an independent deterministic simulation, so the JSON
@@ -41,8 +42,10 @@ type options struct {
 	parallel int
 	jsonOut  string
 	quiet    bool
-	// cpuProfile, when set, receives a pprof CPU profile of the run.
+	// cpuProfile, when set, receives a pprof CPU profile of the run;
+	// memProfile, when set, a pprof heap profile at its end.
 	cpuProfile string
+	memProfile string
 }
 
 func run(opts options, stdout, stderr io.Writer) error {
@@ -51,7 +54,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	stop, err := obs.StartProfiles(opts.cpuProfile, "")
+	stop, err := obs.StartProfiles(opts.cpuProfile, opts.memProfile)
 	if err != nil {
 		return err
 	}
@@ -98,6 +101,7 @@ func main() {
 	flag.StringVar(&opts.jsonOut, "json", "", "write a machine-readable artifact (internal/report schema) to this path")
 	flag.BoolVar(&opts.quiet, "q", false, "suppress the text matrix")
 	flag.StringVar(&opts.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	flag.StringVar(&opts.memProfile, "memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
 
 	if err := run(opts, os.Stdout, os.Stderr); err != nil {

@@ -60,17 +60,23 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 	}
 }
 
-// TestRunWritesCPUProfile: -cpuprofile leaves a non-empty pprof file once
-// the run returns, and an uncreatable path fails the run.
+// TestRunWritesCPUProfile: -cpuprofile and -memprofile leave non-empty
+// pprof files once the run returns, and an uncreatable path fails the
+// run.
 func TestRunWritesCPUProfile(t *testing.T) {
-	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	dir := t.TempDir()
+	prof, heap := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
 	var stdout, stderr bytes.Buffer
-	opts := options{seed: 1, payloads: "stale-read", systems: "copy", parallel: 1, quiet: true, cpuProfile: prof}
+	opts := options{seed: 1, payloads: "stale-read", systems: "copy", parallel: 1, quiet: true,
+		cpuProfile: prof, memProfile: heap}
 	if err := run(opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
 		t.Errorf("CPU profile: %v, size %v", err, fi)
+	}
+	if fi, err := os.Stat(heap); err != nil || fi.Size() == 0 {
+		t.Errorf("heap profile: %v, size %v", err, fi)
 	}
 	opts.cpuProfile = filepath.Join(t.TempDir(), "missing", "cpu.prof")
 	if err := run(opts, &stdout, &stderr); err == nil {

@@ -9,6 +9,7 @@
 //	chaosbench -json chaos.json        # machine-readable artifact
 //	chaosbench -parallel 4             # variants fan out across a farm
 //	chaosbench -cpuprofile cpu.prof    # pprof CPU profile of the run
+//	chaosbench -memprofile mem.prof    # pprof heap profile at its end
 //
 // The run goes through daemon.Execute, the same path simd serves. Every
 // scenario is deterministic for a given seed — the farm changes when
@@ -39,6 +40,7 @@ func main() {
 	jsonOut := flag.String("json", "", "write a machine-readable artifact (internal/report schema) to this path")
 	quiet := flag.Bool("q", false, "suppress the text tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
 
 	spec, err := daemon.RunSpec{Tool: "chaosbench", Seed: *seed, WindowMs: *window,
@@ -46,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("chaosbench: %v", err)
 	}
-	stop, err := obs.StartProfiles(*cpuProfile, "")
+	stop, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		log.Fatalf("chaosbench: %v", err)
 	}

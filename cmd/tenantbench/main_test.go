@@ -9,14 +9,14 @@ import (
 )
 
 // TestRunWritesArtifactAndCPUProfile runs a one-scheme, one-attack,
-// one-point subset with -cpuprofile: the artifact and a non-empty pprof
-// file are both written once run returns.
+// one-point subset with -cpuprofile and -memprofile: the artifact and
+// two non-empty pprof files are all written once run returns.
 func TestRunWritesArtifactAndCPUProfile(t *testing.T) {
 	dir := t.TempDir()
-	out, prof := filepath.Join(dir, "tenants.json"), filepath.Join(dir, "cpu.prof")
+	out, prof, heap := filepath.Join(dir, "tenants.json"), filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
 	var stdout, stderr bytes.Buffer
 	opts := options{seed: 1, schemes: "shadow-copy", attacks: "stale-replay", tenants: "16", frames: "1500",
-		parallel: 1, jsonOut: out, quiet: true, cpuProfile: prof}
+		parallel: 1, jsonOut: out, quiet: true, cpuProfile: prof, memProfile: heap}
 	if err := run(opts, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -29,6 +29,9 @@ func TestRunWritesArtifactAndCPUProfile(t *testing.T) {
 	}
 	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
 		t.Errorf("CPU profile: %v, size %v", err, fi)
+	}
+	if fi, err := os.Stat(heap); err != nil || fi.Size() == 0 {
+		t.Errorf("heap profile: %v, size %v", err, fi)
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("-q still wrote to stdout:\n%s", stdout.String())

@@ -105,6 +105,8 @@ type Target struct {
 	// (ArmSupervisor): the success matrix measures the protection model
 	// itself; quarantine interaction is per-payload.
 	Sup *resilience.Supervisor
+
+	audit SentinelAudit // every sentinel check's page buffer
 }
 
 // NewTarget assembles a quiet single-core machine (no benchmark traffic)

@@ -288,17 +288,11 @@ func (a *ringCorrupt) Deliver(p *sim.Proc, t *Target) error {
 }
 
 func (a *ringCorrupt) Verify(p *sim.Proc, t *Target, r *Result) error {
-	snap, err := t.Mach.Mem.Snapshot(a.neighbor)
+	n, err := t.audit.Corrupted(t.Mach.Mem, a.neighbor, ringSentinel)
 	if err != nil {
 		return err
 	}
-	corrupted := false
-	for _, b := range snap {
-		if b != ringSentinel {
-			corrupted = true
-			break
-		}
-	}
+	corrupted := n > 0
 	r.Success = corrupted
 	r.Metrics["ring_dma_ok"] = b2f(a.ringOK)
 	r.Metrics["probes_landed"] = float64(a.probesLanded)

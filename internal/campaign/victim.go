@@ -48,6 +48,28 @@ func (l *VictimLog) Stale() []*Mapping {
 // per-tenant private pages use the same oracle.
 func SentinelByte(i int) byte { return byte(0xA1 + i*37) }
 
+// SentinelAudit counts the bytes of audited buffers that no longer hold
+// their sentinel. It reads a buffer a page at a time into one reused
+// page, so an audit allocates nothing. The zero value is ready to use;
+// it is not safe for concurrent use.
+type SentinelAudit struct {
+	page [mem.PageSize]byte
+}
+
+// Corrupted returns how many bytes of b in m differ from want. It fails
+// if b touches an unallocated page.
+func (a *SentinelAudit) Corrupted(m *mem.Memory, b mem.Buf, want byte) (int, error) {
+	n := 0
+	for off := 0; off < b.Size; off += len(a.page) {
+		got := a.page[:min(len(a.page), b.Size-off)]
+		if err := m.Read(b.Addr+mem.Phys(off), got); err != nil {
+			return 0, err
+		}
+		n += len(got) - bytes.Count(got, []byte{want})
+	}
+	return n, nil
+}
+
 // MapVictimBuf maps a caller-staged buffer for DMA, logs the mapping,
 // and posts an RX descriptor for it — the legitimate, device-visible
 // channel through which the (compromised) device learns the IOVA.
@@ -139,16 +161,12 @@ func (t *Target) RunTraffic(p *sim.Proc, n int) error {
 func (t *Target) CorruptedStale() ([]int, error) {
 	var out []int
 	for _, m := range t.Log.Stale() {
-		snap, err := t.Mach.Mem.Snapshot(m.Buf)
+		bad, err := t.corrupted(m)
 		if err != nil {
 			return nil, err
 		}
-		want := SentinelByte(m.Index)
-		for _, b := range snap {
-			if b != want {
-				out = append(out, m.Index)
-				break
-			}
+		if bad {
+			out = append(out, m.Index)
 		}
 	}
 	return out, nil
@@ -170,17 +188,8 @@ func (t *Target) restoreSentinel(m *Mapping) error {
 // corrupted reports whether one unmapped mapping's buffer lost its
 // sentinel.
 func (t *Target) corrupted(m *Mapping) (bool, error) {
-	snap, err := t.Mach.Mem.Snapshot(m.Buf)
-	if err != nil {
-		return false, err
-	}
-	want := SentinelByte(m.Index)
-	for _, b := range snap {
-		if b != want {
-			return true, nil
-		}
-	}
-	return false, nil
+	n, err := t.audit.Corrupted(t.Mach.Mem, m.Buf, SentinelByte(m.Index))
+	return n > 0, err
 }
 
 // colocatedPair stages the classic sub-page layout: two consecutive slab

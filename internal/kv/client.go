@@ -66,6 +66,14 @@ func (c *Client) requestBytes(seq int) []byte {
 	return EncodeSet(c.keyOf(seq), val)
 }
 
+// requestSize is len(requestBytes(seq)), without encoding the request.
+func (c *Client) requestSize(seq int) int {
+	if c.isGet(seq) {
+		return GetRequestSize(len(c.keyOf(seq)))
+	}
+	return SetRequestSize(len(c.keyOf(seq)), c.cfg.ValueSize)
+}
+
 func (c *Client) responseSize(seq int) int {
 	if c.isGet(seq) {
 		return GetResponseSize(c.cfg.ValueSize)
@@ -78,7 +86,7 @@ func (c *Client) responseSize(seq int) int {
 func NewClient(eng *sim.Engine, n *nic.NIC, qi int, costs *cycles.Costs, cfg ClientConfig, keys []string) *Client {
 	c := &Client{eng: eng, cfg: cfg, keys: keys, qi: qi}
 	c.src = nic.NewSource(eng, n.Queue(qi), costs, 0, n.Config().MTU, false)
-	c.src.SetSizeFn(func(seq int) int { return len(c.requestBytes(seq)) })
+	c.src.SetSizeFn(c.requestSize)
 	c.src.SetPayload(func(seq, frameIdx int, b []byte) {
 		req := c.requestBytes(seq)
 		copy(b, req[frameIdx*n.Config().MTU:])

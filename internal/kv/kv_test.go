@@ -80,6 +80,30 @@ func TestProtocolPropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRequestSizes checks the request sizes against the encoders, and
+// the client's size function against the requests it sends, so a frame
+// is sized without encoding its request.
+func TestRequestSizes(t *testing.T) {
+	for _, keyLen := range []int{1, 8, 64, 200} {
+		key := string(bytes.Repeat([]byte{'k'}, keyLen))
+		if got, want := GetRequestSize(keyLen), len(EncodeGet(key)); got != want {
+			t.Errorf("GetRequestSize(%d) = %d, want %d", keyLen, got, want)
+		}
+		for _, valLen := range []int{0, 1, 100, 1024, 1400} {
+			enc := EncodeSet(key, make([]byte, valLen))
+			if got := SetRequestSize(keyLen, valLen); got != len(enc) || got != int(enc[0])<<8|int(enc[1]) {
+				t.Errorf("SetRequestSize(%d, %d) = %d, want %d", keyLen, valLen, got, len(enc))
+			}
+		}
+	}
+	c := &Client{cfg: DefaultClientConfig(), keys: DefaultKeys()}
+	for seq := 0; seq < 200; seq++ {
+		if got, want := c.requestSize(seq), len(c.requestBytes(seq)); got != want {
+			t.Fatalf("request %d: size %d, encoded %d bytes", seq, got, want)
+		}
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,

@@ -22,9 +22,17 @@ const (
 	StatusMiss = 1
 )
 
+// GetRequestSize returns the wire size of a GET request for a keyLen-byte
+// key.
+func GetRequestSize(keyLen int) int { return 4 + keyLen }
+
+// SetRequestSize returns the wire size of a SET request for a keyLen-byte
+// key and a valLen-byte value.
+func SetRequestSize(keyLen, valLen int) int { return 6 + keyLen + valLen }
+
 // EncodeGet builds a GET request.
 func EncodeGet(key string) []byte {
-	n := 4 + len(key)
+	n := GetRequestSize(len(key))
 	b := make([]byte, n)
 	putLen(b, n)
 	b[2] = OpGet
@@ -35,7 +43,7 @@ func EncodeGet(key string) []byte {
 
 // EncodeSet builds a SET request.
 func EncodeSet(key string, value []byte) []byte {
-	n := 4 + len(key) + 2 + len(value)
+	n := SetRequestSize(len(key), len(value))
 	b := make([]byte, n)
 	putLen(b, n)
 	b[2] = OpSet

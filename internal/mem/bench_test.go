@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -28,7 +29,8 @@ func BenchmarkMemAccess4K(b *testing.B) {
 }
 
 // BenchmarkMemCopy64K measures the in-simulation copy primitive behind
-// the shadow-buffer data path (16 pages, page-chunked).
+// the shadow-buffer data path (16 pages, page-chunked). The source holds
+// distinct bytes, so its pages are materialized, not uniform.
 func BenchmarkMemCopy64K(b *testing.B) {
 	m := New(1)
 	src, err := m.AllocPages(0, 16)
@@ -39,7 +41,11 @@ func BenchmarkMemCopy64K(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := m.Fill(Buf{Addr: src, Size: 16 * PageSize}, 0xab); err != nil {
+	data := make([]byte, 16*PageSize)
+	for i := range data {
+		data[i] = byte(i) | 1
+	}
+	if err := m.Write(src, data); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(16 * PageSize)
@@ -67,6 +73,40 @@ func BenchmarkMemFill64K(b *testing.B) {
 		if err := m.Fill(buf, byte(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSentinelPage measures the isolation oracle of the
+// multi-tenant datapath: New(1), 64 pages each filled with a sentinel
+// byte, an audit that reads every page into one buffer and counts the
+// bytes that differ, then Release. The pages are uniform, so the fills
+// store no page and materialize no chunk.
+func BenchmarkSentinelPage(b *testing.B) {
+	const pages = 64
+	page := make([]byte, PageSize)
+	b.SetBytes(pages * PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := New(1)
+		addr, err := m.AllocPages(0, pages)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := 0; p < pages; p++ {
+			if err := m.Fill(Buf{Addr: addr + Phys(p*PageSize), Size: PageSize}, byte(0xA1+p*37)|1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for p := 0; p < pages; p++ {
+			if err := m.Read(addr+Phys(p*PageSize), page); err != nil {
+				b.Fatal(err)
+			}
+			if n := bytes.Count(page, []byte{byte(0xA1+p*37) | 1}); n != PageSize {
+				b.Fatalf("page %d: %d sentinel bytes", p, n)
+			}
+		}
+		m.Release()
 	}
 }
 

@@ -19,7 +19,12 @@ import (
 // chunks they never left chunk 0. The writes include the shapes a sparse
 // frame must get right: the NIC's header over a zero tail, zeros over
 // bytes written before, and fills with zero and non-zero bytes, so
-// frames move between slot lines and pages mid-sequence.
+// frames move between slot lines and pages mid-sequence. Ops 10-14 reach
+// uniform frames: non-zero fills over whole lines or pages (from four
+// bytes, so fills meet both the same byte and another one), a few bytes
+// written into the middle of a line, zeros over whole lines or part of
+// one, partial fills at line-shifting offsets, and copies of whole lines
+// to destinations shifted within a line.
 func FuzzAccess(f *testing.F) {
 	f.Add(dmafuzz.Generate(1, 64).Encode())
 	f.Add(dmafuzz.Generate(3, 128).Encode())
@@ -53,6 +58,56 @@ func FuzzAccess(f *testing.F) {
 		8, 0, 129, 200, // fill 1801 zeros at 8256
 		3, 0, 128, 255,
 	})
+	// Uniform frames through every change of form: whole-line fills of
+	// one byte, a byte written into one (to a slot), a partial fill
+	// that goes to a slot and a whole-line fill over it (uniform again),
+	// a shifted copy out of one, a freed uniform frame reallocated, a
+	// partial fill of another byte (to a slot), whole-line zeroing (mask
+	// bits only), and zeros over part of a line, which promotes chunk 0.
+	f.Add([]byte{
+		0, 0, 3, 0, // region 0: frames 1..4
+		0, 0, 0, 0, // region 1: frame 5
+		10, 0, 64, 4, // three lines of 0xa0 at 4096 (frame 2)
+		10, 0, 64, 6, // four lines of 0xa0 there: still uniform
+		11, 0, 64, 8, // one byte at 4105: frame 2 moves to a slot
+		3, 0, 64, 255,
+		13, 1, 0, 70, // 211 bytes of 0xa1 at 9 of frame 5: a slot
+		10, 1, 0, 8, // five lines of 0xa0 over them: uniform again
+		3, 1, 0, 255,
+		14, 1, 0, 9, // its first two lines to 802 of region 0 (frame 1)
+		10, 1, 0, 1, // a page of 0xa0 over frame 5: the same byte
+		12, 1, 0, 3, // zeros over its first two lines
+		1, 1, 0, 0, // free region 1 (frame 5)
+		0, 0, 0, 0, // reallocate it: the uniform frame must read as zeros
+		3, 1, 0, 255,
+		10, 1, 0, 2, // two lines of 0xa0 at 0 of frame 5
+		13, 1, 0, 69, // 208 bytes of 0xa1 at 8: another byte, to a slot
+		3, 1, 0, 255,
+		10, 0, 128, 1, // a page of 0xa0 (frame 3)
+		12, 0, 128, 3, // zeros over its first two lines: mask bits only
+		12, 0, 130, 10, // 3 zeros at 8331, part of line 2: promotes chunk 0
+		3, 0, 0, 255,
+		3, 0, 128, 255,
+	})
+	// A five-line write promotes a chunk holding uniform frames: pages
+	// of 0xa3 and 0xa1, seven lines of 0xa0, a same-byte partial fill
+	// that keeps a frame uniform, and a shifted copy out of one into a
+	// slot, all read back from their pages.
+	f.Add([]byte{
+		0, 0, 3, 0, // region 0: frames 1..4
+		0, 0, 0, 0, // region 1: frame 5
+		10, 0, 0, 193, // a page of 0xa3 (frame 1)
+		10, 0, 64, 12, // seven lines of 0xa0 at 4096 (frame 2)
+		10, 1, 0, 65, // a page of 0xa1 (frame 5)
+		13, 1, 0, 126, // 379 bytes of 0xa1 at 3 of frame 5: still uniform
+		14, 1, 0, 98, // 192 bytes of it to 8723 of region 0 (frame 3)
+		3, 0, 128, 255,
+		2, 0, 192, 255, // 256 bytes at 12288: four lines of frame 4
+		2, 0, 196, 255, // 256 more at 12544: a fifth line promotes chunk 0
+		3, 0, 0, 255,
+		3, 0, 64, 255,
+		3, 1, 0, 255,
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := mem.New(2)
@@ -70,9 +125,17 @@ func FuzzAccess(f *testing.F) {
 			}
 			return &regions[int(b)%len(regions)]
 		}
+		fill := func(r *region, off, n int, v byte) {
+			if err := m.Fill(mem.Buf{Addr: r.base + mem.Phys(off), Size: n}, v); err != nil {
+				t.Fatalf("fill: %v", err)
+			}
+			for j := off; j < off+n; j++ {
+				r.model[j] = v
+			}
+		}
 
 		for i := 0; i+3 < len(data); i += 4 {
-			op, a, b, c := data[i]%10, data[i+1], data[i+2], data[i+3]
+			op, a, b, c := data[i]%15, data[i+1], data[i+2], data[i+3]
 			switch op {
 			case 0: // alloc 1..4 pages on domain a%2
 				if len(regions) >= 16 {
@@ -211,6 +274,75 @@ func FuzzAccess(f *testing.F) {
 				}
 				if err := m.Copy(dst.base+mem.Phys(do), src.base+mem.Phys(so), n); err != nil {
 					t.Fatalf("copy: %v", err)
+				}
+				copy(dst.model[do:do+n], src.model[so:so+n])
+			case 10: // one of four bytes over whole lines (c even) or pages (c odd)
+				r := pick(a)
+				if r == nil {
+					continue
+				}
+				off := int(b) * len(r.model) / 256 &^ 63
+				n := (int(c>>1)%32 + 1) * 64
+				if c&1 == 1 {
+					off &^= mem.PageSize - 1
+					n = (int(c>>1)%2 + 1) * mem.PageSize
+				}
+				n = min(n, len(r.model)-off)
+				fill(r, off, n, 0xa0|c>>6)
+			case 11: // a few bytes into the middle of a line
+				r := pick(a)
+				if r == nil {
+					continue
+				}
+				off := int(b)*len(r.model)/256&^63 + 1 + int(c)%48
+				span := make([]byte, min(1+int(c)%8, len(r.model)-off))
+				for j := range span {
+					span[j] = c ^ byte(j) | 1
+				}
+				if err := m.Write(r.base+mem.Phys(off), span); err != nil {
+					t.Fatalf("line write: %v", err)
+				}
+				copy(r.model[off:], span)
+			case 12: // zeros over whole lines (c odd) or part of one line
+				r := pick(a)
+				if r == nil {
+					continue
+				}
+				off := int(b) * len(r.model) / 256 &^ 63
+				if c&1 == 1 {
+					fill(r, off, min((int(c>>1)%16+1)*64, len(r.model)-off), 0)
+					continue
+				}
+				off += 1 + int(c)%31
+				n := 1 + int(c>>2)%32
+				if c&2 != 0 {
+					fill(r, off, n, 0)
+					continue
+				}
+				if err := m.Write(r.base+mem.Phys(off), make([]byte, n)); err != nil {
+					t.Fatalf("zero write: %v", err)
+				}
+				clear(r.model[off : off+n])
+			case 13: // one of four bytes from a line-shifting offset
+				r := pick(a)
+				if r == nil {
+					continue
+				}
+				off := int(b)*len(r.model)/256&^63 + 1 + int(c)%62
+				fill(r, off, min(1+int(c)*3, len(r.model)-off), 0xa0|c>>6)
+			case 14: // whole lines copied to a destination shifted within a line
+				src, dst := pick(a), pick(b)
+				if src == nil || dst == nil {
+					continue
+				}
+				so := int(b) * len(src.model) / 256 &^ 63
+				do := (int(c)*89 + int(a)) % len(dst.model)
+				n := min((int(c)%8+1)*64, len(src.model)-so, len(dst.model)-do)
+				if src.base == dst.base && so < do+n && do < so+n {
+					continue
+				}
+				if err := m.Copy(dst.base+mem.Phys(do), src.base+mem.Phys(so), n); err != nil {
+					t.Fatalf("line copy: %v", err)
 				}
 				copy(dst.model[do:do+n], src.model[so:so+n])
 			}

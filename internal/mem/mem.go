@@ -7,17 +7,21 @@
 // frame with at most four non-zero lines stores only those lines, in a
 // 256-byte slot of a per-domain arena: zero bytes written into its clean
 // lines are not stored, so an RX buffer holding a two-byte header over
-// 1,498 zero bytes costs one line, not a page. A write, Fill or Copy that
-// would give a frame a fifth non-zero line materializes the 64 KiB chunk
-// of 16 page-aligned frames around it, and every frame of that chunk
-// moves its lines into its page. A machine's owner calls Release once it
-// has read the memory for the last time (after the engine stops and any
-// result collection or sentinel audit): Release clears every dirty line
-// and used slot and hands the chunks, the arenas' slot blocks included,
-// in one locked step, to a process-wide LIFO free list that the next
-// Memory draws from before allocating, so back-to-back machines reuse the
-// same zeroed storage instead of allocating fresh. The list is capped at
-// 256 chunks (16 MiB); chunks beyond the cap are left to the garbage
+// 1,498 zero bytes costs one line, not a page. A frame whose lines were
+// last set by a non-zero Fill over whole lines (a sentinel-filled page)
+// is uniform: it stores only the fill byte, and its lines read as 64
+// copies of it. Any other write into a uniform frame first stores its
+// lines as bytes. A write, Fill or Copy that would give a frame a fifth
+// stored non-zero line materializes the 64 KiB chunk of 16 page-aligned
+// frames around it, and every frame of that chunk moves its lines into
+// its page. A machine's owner calls Release once it has read the memory
+// for the last time (after the engine stops and any result collection
+// or sentinel audit): Release clears every dirty line and used slot and
+// hands the chunks, the arenas' slot blocks included, in one locked
+// step, to a process-wide LIFO free list that the next Memory draws
+// from before allocating, so back-to-back machines reuse the same
+// zeroed storage instead of allocating fresh. The list is capped at 256
+// chunks (16 MiB); chunks beyond the cap are left to the garbage
 // collector. A released Memory has no domains: every later access fails
 // with an error rather than reaching recycled bytes.
 package mem
@@ -146,14 +150,19 @@ func putChunks(cs []*chunk) {
 	chunkPool.free = append(chunkPool.free, cs[:n]...)
 }
 
-// frame is the per-frame state beside the chunks.
+// frame is the per-frame state beside the chunks, 16 bytes.
 type frame struct {
 	// lines marks the 64-byte lines that may be non-zero. While the
 	// frame's chunk is not materialized these are exactly the lines its
-	// slot stores; afterwards a clear bit still means an all-zero line,
-	// so zeroing a page touches only its set lines.
+	// slot stores, or that hold its fill byte; afterwards a clear bit
+	// still means an all-zero line, so zeroing a page touches only its
+	// set lines.
 	lines uint64
 	slot  uint32 // the sparse frame's slot, 0 if it stores no line
+	// fill is a uniform frame's byte: every line in lines holds 64
+	// copies of it. A sparse frame has a slot or a fill byte, never
+	// both; a materialized one has neither.
+	fill byte
 }
 
 type domainStore struct {
@@ -244,6 +253,28 @@ func at(l, po, end int) (lo, hi int) {
 	return max(l<<lineShift, po), min((l+1)<<lineShift, end)
 }
 
+// lowRun returns the lowest run of consecutive lines in r.
+func lowRun(r uint64) uint64 {
+	return r &^ (r + r&-r)
+}
+
+// span returns the part of [po, end) that a run of lines covers.
+func span(run uint64, po, end int) (lo, hi int) {
+	return max(bits.TrailingZeros64(run)<<lineShift, po), min((64-bits.LeadingZeros64(run))<<lineShift, end)
+}
+
+// fillLines sets to v the bytes of lines that dst holds; dst holds page
+// bytes [po, po+len(dst)).
+func fillLines(dst []byte, lines uint64, po int, v byte) {
+	end := po + len(dst)
+	for r := lines & lineMask(po, len(dst)); r != 0; {
+		run := lowRun(r)
+		r &^= run
+		lo, hi := span(run, po, end)
+		memset(dst[lo-po:hi-po], v)
+	}
+}
+
 // slotOff returns where page byte b, in a line the slot stores, sits in
 // the slot.
 func slotOff(lines uint64, b int) int {
@@ -314,6 +345,10 @@ func (ds *domainStore) promote(idx uint64) *[PageSize]byte {
 	ds.chunks[ci] = c
 	for i := range c {
 		f := &ds.frames[ci<<chunkShift+uint64(i)]
+		if f.fill != 0 {
+			fillLines(c[i][:], f.lines, 0, f.fill)
+			f.fill = 0
+		}
 		if f.slot == 0 {
 			continue
 		}
@@ -330,18 +365,40 @@ func (ds *domainStore) promote(idx uint64) *[PageSize]byte {
 	return &c[idx&(chunkFrames-1)]
 }
 
+// unfill stores uniform frame idx's lines as bytes: in a slot when they
+// fit, otherwise in its page, promoting its chunk. It returns the page,
+// or nil for a slot.
+func (ds *domainStore) unfill(idx uint64) *[PageSize]byte {
+	f := &ds.frames[idx]
+	lines := f.lines
+	if bits.OnesCount64(lines) > slotLines {
+		return ds.promote(idx)
+	}
+	v := f.fill
+	*f = frame{}
+	sl := ds.setLines(idx, lines)
+	memset(sl[:bits.OnesCount64(lines)<<lineShift], v)
+	return nil
+}
+
 // write stores b at offset po of frame idx. A sparse frame stores the
 // lines b makes non-zero, drops the lines it fills with zeros, and is
 // promoted only when it would need more than slotLines lines; the scan
-// stops at the first line too many.
+// stops at the first line too many. A uniform frame is unfilled first.
 func (ds *domainStore) write(idx uint64, po int, b []byte) {
 	end := po + len(b)
-	if pg := ds.page(idx); pg != nil {
+	pg := ds.page(idx)
+	if pg == nil {
+		ds.grow(idx)
+		if ds.frames[idx].fill != 0 {
+			pg = ds.unfill(idx)
+		}
+	}
+	if pg != nil {
 		copy(pg[po:end], b)
 		ds.frames[idx].lines |= lineMask(po, len(b))
 		return
 	}
-	ds.grow(idx)
 	next := ds.frames[idx].lines
 	// At the start and after each non-zero line, one scan tests whether
 	// the rest of b is zeros (an RX frame's tail). After a zero line the
@@ -385,6 +442,10 @@ func (ds *domainStore) read(idx uint64, po int, b []byte) {
 		return
 	}
 	f := ds.frames[idx]
+	if f.fill != 0 {
+		fillLines(b, f.lines, po, f.fill)
+		return
+	}
 	end := po + len(b)
 	for r := f.lines & lineMask(po, len(b)); r != 0; r &= r - 1 {
 		l := bits.TrailingZeros64(r)
@@ -394,7 +455,9 @@ func (ds *domainStore) read(idx uint64, po int, b []byte) {
 }
 
 // zeroRange clears bytes [po, po+n) of frame idx, touching only the
-// lines that may be non-zero, and forgets the lines it clears whole.
+// lines that may be non-zero, and forgets the lines it clears whole. A
+// uniform frame only forgets them; zeroing part of one of its lines
+// unfills it first.
 func (ds *domainStore) zeroRange(idx uint64, po, n int) {
 	if idx >= uint64(len(ds.frames)) {
 		return
@@ -405,9 +468,19 @@ func (ds *domainStore) zeroRange(idx uint64, po, n int) {
 	if hit == 0 {
 		return
 	}
+	whole := wholeLines(po, end)
 	pg := ds.page(idx)
+	if pg == nil && f.fill != 0 {
+		if hit&^whole == 0 {
+			if f.lines &^= whole; f.lines == 0 {
+				f.fill = 0
+			}
+			return
+		}
+		pg = ds.unfill(idx)
+	}
 	if pg == nil {
-		sl := ds.setLines(idx, f.lines&^wholeLines(po, end))
+		sl := ds.setLines(idx, f.lines&^whole)
 		for r := f.lines & hit; r != 0; r &= r - 1 {
 			l := bits.TrailingZeros64(r)
 			lo, hi := at(l, po, end)
@@ -417,14 +490,12 @@ func (ds *domainStore) zeroRange(idx uint64, po, n int) {
 		return
 	}
 	for r := hit; r != 0; {
-		l := bits.TrailingZeros64(r)
-		run := bits.TrailingZeros64(^(r >> l))
-		lo, _ := at(l, po, end)
-		_, hi := at(l+run-1, po, end)
+		run := lowRun(r)
+		r &^= run
+		lo, hi := span(run, po, end)
 		clear(pg[lo:hi])
-		r &^= (1<<run - 1) << l
 	}
-	f.lines &^= wholeLines(po, end)
+	f.lines &^= whole
 }
 
 // Memory is the simulated physical memory of one machine.
@@ -701,13 +772,25 @@ func (m *Memory) Copy(dst, src Phys, n int) error {
 		if srel < uint64(len(sds.frames)) {
 			f = sds.frames[srel]
 		}
-		if sp := sds.page(srel); sp != nil && f.lines&lineMask(so, c) != 0 {
+		lines := f.lines & lineMask(so, c)
+		switch sp := sds.page(srel); {
+		case sp != nil && lines != 0:
 			dds.write(drel, do, sp[so:so+c])
-		} else {
+		case f.fill != 0:
+			// A uniform source: fill the destination run by run, from
+			// the lines and byte read above, which writing the
+			// destination cannot change.
+			dds.zeroRange(drel, do, c)
+			for r := lines; r != 0; {
+				run := lowRun(r)
+				r &^= run
+				lo, hi := span(run, so, so+c)
+				dds.fill(drel, do+lo-so, hi-lo, f.fill)
+			}
+		default:
 			// The source reads as zeros but for the lines its slot
 			// stores. Copy them out first: writing the destination can
 			// rearrange or promote the source's frame.
-			lines := f.lines & lineMask(so, c)
 			var sl [slotSize]byte
 			if lines != 0 {
 				sl = *sds.slot(f.slot)
@@ -751,26 +834,51 @@ func (m *Memory) Fill(b Buf, v byte) error {
 		po := a.Offset()
 		n := min(PageSize-po, b.Size-off)
 		ds, rel, _ := m.store(a.PFN())
+		ds.fill(rel, po, n, v)
 		off += n
-		if v == 0 {
-			ds.zeroRange(rel, po, n)
-			continue
-		}
-		pg := ds.page(rel)
-		if pg == nil {
-			ds.grow(rel)
-			if bits.OnesCount64(ds.frames[rel].lines|lineMask(po, n)) <= slotLines {
-				var span [slotSize]byte // n <= slotSize: at most slotLines lines
-				memset(span[:n], v)
-				ds.write(rel, po, span[:n])
-				continue
-			}
-			pg = ds.promote(rel)
-		}
-		memset(pg[po:po+n], v)
-		ds.frames[rel].lines |= lineMask(po, n)
 	}
 	return nil
+}
+
+// fill sets bytes [po, po+n) of frame idx to v. A sparse frame takes a
+// non-zero fill without storing a byte when it stays uniform: the fill
+// covers whole lines of an empty frame or of one uniform with v (or
+// lines it already holds), or covers every line the frame stores.
+func (ds *domainStore) fill(idx uint64, po, n int, v byte) {
+	if v == 0 {
+		ds.zeroRange(idx, po, n)
+		return
+	}
+	end := po + n
+	pg := ds.page(idx)
+	if pg == nil {
+		ds.grow(idx)
+		f := &ds.frames[idx]
+		touched, whole := lineMask(po, n), wholeLines(po, end)
+		switch {
+		case (f.lines == 0 || f.fill == v) && touched&^whole&^f.lines == 0:
+			f.lines |= touched
+			f.fill = v
+			return
+		case touched == whole && f.lines&^whole == 0:
+			ds.setLines(idx, 0)
+			*f = frame{lines: whole, fill: v}
+			return
+		case f.fill != 0:
+			pg = ds.unfill(idx)
+		}
+		if pg == nil {
+			if bits.OnesCount64(f.lines|touched) <= slotLines {
+				var buf [slotSize]byte // n <= slotSize: at most slotLines lines
+				memset(buf[:n], v)
+				ds.write(idx, po, buf[:n])
+				return
+			}
+			pg = ds.promote(idx)
+		}
+	}
+	memset(pg[po:end], v)
+	ds.frames[idx].lines |= lineMask(po, n)
 }
 
 // memset fills dst with v (doubling copies; the zero case compiles to a

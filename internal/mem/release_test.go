@@ -129,10 +129,15 @@ func TestReleaseRecyclesZeroedChunk(t *testing.T) {
 // TestChunkIsPageAligned pins the chunk's geometry: exactly 64 KiB of
 // page data, a multiple of the Go runtime's 8 KiB page (so a chunk
 // allocates with no rounding), and every frame 4 KiB-aligned, whether
-// the chunk is fresh or recycled.
+// the chunk is fresh or recycled. The chunks are materialized by a
+// write of distinct bytes: a Fill would leave every frame uniform.
 func TestChunkIsPageAligned(t *testing.T) {
 	if got := unsafe.Sizeof(chunk{}); got != 65536 || got%8192 != 0 {
 		t.Fatalf("chunk is %d bytes, want 65536, a multiple of 8192", got)
+	}
+	pat := make([]byte, 4*chunkFrames*PageSize)
+	for i := range pat {
+		pat[i] = byte(i) | 1
 	}
 	drainPool()
 	for round := 0; round < 2; round++ { // fresh chunks, then recycled ones
@@ -141,8 +146,11 @@ func TestChunkIsPageAligned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Fill(Buf{Addr: a, Size: 4 * chunkFrames * PageSize}, 0x7e); err != nil {
+		if err := m.Write(a, pat); err != nil {
 			t.Fatal(err)
+		}
+		if got := materialized(m); got != 5 {
+			t.Fatalf("round %d: a write over 64 frames from frame 1 materialized %d chunks, want 5", round, got)
 		}
 		for ci, c := range m.doms[0].chunks {
 			for i := range c {
@@ -264,6 +272,56 @@ func TestHeaderOnlyFramesStoreOneLine(t *testing.T) {
 		}
 		if !bytes.Equal(got[:2], rx[:2]) || firstNonzero(got[2:1024]) >= 0 {
 			t.Fatalf("frame %d lost its header in the promotion", 1+i)
+		}
+	}
+	m.Release()
+	drainPool()
+}
+
+// TestTenantRegionsStaySparse lays out 1,024 regions the way the
+// multi-tenant datapath does: a private page filled with a sentinel
+// byte, then eight 2 KiB RX buffers, each receiving a two-byte header
+// over zeros. No chunk is materialized: the private pages are uniform,
+// and each buffer page stores its two header lines in a slot.
+func TestTenantRegionsStaySparse(t *testing.T) {
+	if got := unsafe.Sizeof(frame{}); got != 16 {
+		t.Fatalf("frame is %d bytes, want 16", got)
+	}
+	drainPool()
+	const regions, bufs, bufSize = 1024, 8, 2048
+	sentinel := func(i int) byte { return byte(0xA1 + i*37) } // campaign.SentinelByte
+	m := New(1)
+	rx := make([]byte, 1500)
+	rx[0], rx[1] = 0x05, 0xdc
+	bases := make([]Phys, regions)
+	for i := range bases {
+		base, err := m.AllocPages(0, 1+bufs*bufSize/PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[i] = base
+		if err := m.Fill(Buf{Addr: base, Size: PageSize}, sentinel(i)); err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < bufs; b++ {
+			if err := m.Write(base+PageSize+Phys(b*bufSize), rx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := materialized(m); got != 0 {
+		t.Fatalf("%d tenant regions materialized %d chunks, want 0", regions, got)
+	}
+	if got, want := len(m.doms[0].slotBlocks), regions*bufs/2/slotsPerChunk; got != want {
+		t.Errorf("%d buffer pages hold %d slot blocks, want %d", regions*bufs/2, got, want)
+	}
+	page := make([]byte, PageSize)
+	for i, base := range bases {
+		if err := m.Read(base, page); err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(page, []byte{sentinel(i)}); n != PageSize {
+			t.Fatalf("region %d: %d bytes of its private page hold the sentinel, want %d", i, n, PageSize)
 		}
 	}
 	m.Release()

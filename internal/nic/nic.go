@@ -32,6 +32,11 @@ type NIC struct {
 	rxWire *Wire // traffic-generator -> us
 	txWire *Wire // us -> traffic-generator
 
+	// txDelivered carries TxDeliveredHook's calls. Their times are txWire
+	// reservations plus a fixed latency, which never decrease across the
+	// NIC, so one stream holds them all.
+	txDelivered *sim.Stream[txSegment]
+
 	// RxDMAHook observes every receive DMA the device performs (queue,
 	// IOVA, bytes). A compromised NIC (examples/malicious-nic) uses it
 	// to remember IOVAs for replay.
@@ -103,6 +108,11 @@ type Queue struct {
 	onCredit func(now uint64)
 }
 
+// txSegment is one transmitted segment awaiting TxDeliveredHook.
+type txSegment struct {
+	q, bytes int
+}
+
 // RxCompletion reports one received frame.
 type RxCompletion struct {
 	Desc Desc
@@ -127,6 +137,7 @@ func New(eng *sim.Engine, u *iommu.IOMMU, cfg Config) *NIC {
 		rxWire: NewWire(cfg.Costs),
 		txWire: NewWire(cfg.Costs),
 	}
+	n.txDelivered = sim.NewStream(eng, n.delivered)
 	for i := 0; i < cfg.Queues; i++ {
 		q := &Queue{
 			nic:    n,
@@ -324,11 +335,7 @@ func (q *Queue) deviceTx(now uint64) {
 			n.TxFrames++
 			n.TxBytes += uint64(seg)
 			if n.TxDeliveredHook != nil {
-				hookAt := last + n.cfg.Costs.DMALatency
-				segLen := seg
-				n.eng.Schedule(hookAt, func(at uint64) {
-					n.TxDeliveredHook(qi, at, segLen)
-				})
+				n.txDelivered.Schedule(last+n.cfg.Costs.DMALatency, txSegment{q: qi, bytes: seg})
 			}
 		}
 		n.TxSkbs++
@@ -350,6 +357,12 @@ func (q *Queue) completeTx(at uint64, d Desc) {
 func (q *Queue) raiseTx() {
 	n := q.nic
 	n.u.MSIWrite(n.cfg.Dev, iommu.MSIBase, msiVector(q.idx))
+}
+
+// delivered reports one segment's arrival to TxDeliveredHook (engine
+// context).
+func (n *NIC) delivered(at uint64, s txSegment) {
+	n.TxDeliveredHook(s.q, at, s.bytes)
 }
 
 // txCompleted hands d's completion to the driver (engine context).

@@ -67,14 +67,41 @@ func (m *Machine) spawnDatapath() {
 	}
 }
 
+// completion carries one job to its datapath queue at its scheduled
+// time. Its times add a per-scheme, IOTLB-dependent latency to the
+// arrival time, so they do not rise monotonically and cannot share a
+// sim.Stream; instead each carrier is an engine event of its own,
+// recycled through the machine's spare list, with fire made once.
+type completion struct {
+	m    *Machine
+	q    *dpQueue
+	j    dpJob
+	fire func(now uint64)
+}
+
+// deliver pushes the job and wakes the queue's proc (engine context),
+// handing the carrier back first.
+func (c *completion) deliver(when uint64) {
+	q, j := c.q, c.j
+	c.q, c.j = nil, dpJob{}
+	c.m.spare = append(c.m.spare, c)
+	q.push(j)
+	q.cond.SignalAt(when, 1)
+}
+
 // enqueue hands a completion to the owning tenant's datapath queue at
 // virtual time `at` (DMA + validation latency after frame arrival).
 func (m *Machine) enqueue(t *Tenant, j dpJob, at uint64) {
-	q := m.procs[t.ID%len(m.procs)]
-	m.Eng.Schedule(at, func(when uint64) {
-		q.push(j)
-		q.cond.SignalAt(when, 1)
-	})
+	var c *completion
+	if n := len(m.spare); n > 0 {
+		c = m.spare[n-1]
+		m.spare = m.spare[:n-1]
+	} else {
+		c = &completion{m: m}
+		c.fire = c.deliver
+	}
+	c.q, c.j = m.procs[t.ID%len(m.procs)], j
+	m.Eng.Schedule(at, c.fire)
 }
 
 // startIngress runs the shared 40 Gb/s wire at line rate: frames arrive

@@ -280,6 +280,9 @@ type Machine struct {
 
 	payload []byte // shared ingress frame: 2-byte length header + zero fill
 
+	spare []*completion          // carriers of delivered completions
+	audit campaign.SentinelAudit // VictimCorruption's page buffer
+
 	// Machine-wide counters.
 	FramesOnWire uint64
 	rr           int
@@ -409,15 +412,9 @@ func (m *Machine) Run() {
 // sentinel: the ground-truth isolation verdict.
 func (m *Machine) VictimCorruption() (tenants int, bytes int) {
 	audit := func(buf mem.Buf, want byte) int {
-		snap, err := m.Mem.Snapshot(buf)
+		n, err := m.audit.Corrupted(m.Mem, buf, want)
 		if err != nil {
 			return buf.Size // unauditable counts as corrupted
-		}
-		n := 0
-		for _, b := range snap {
-			if b != want {
-				n++
-			}
 		}
 		return n
 	}

@@ -3,6 +3,8 @@ package tenant
 import (
 	"testing"
 
+	"repro/internal/campaign"
+	"repro/internal/cycles"
 	"repro/internal/iommu"
 )
 
@@ -219,4 +221,60 @@ func TestDpQueueRing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { push(8); pop(8) }); n != 0 {
 		t.Errorf("a steady push/pop cycle allocates %v times", n)
 	}
+}
+
+// TestSteadyDatapathAllocatesNothing runs each scheme's benign machine
+// past its warm-up, then checks that more frames delivered and
+// completed allocate nothing: a completion's engine event is a recycled
+// carrier, not a closure per frame.
+func TestSteadyDatapathAllocatesNothing(t *testing.T) {
+	for _, scheme := range Schemes() {
+		m, err := NewMachine(Config{Scheme: scheme, Tenants: 4, WindowMs: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.startIngress()
+		until := cycles.FromMicros(50)
+		m.Eng.Run(until)
+		var frames uint64
+		allocs := testing.AllocsPerRun(20, func() {
+			until += cycles.FromMicros(5)
+			before := m.benign[0].Stats.Frames
+			m.Eng.Run(until)
+			frames += m.benign[0].Stats.Frames - before
+		})
+		m.Eng.Stop()
+		if frames == 0 {
+			t.Errorf("%s: no frames completed in the measured windows", scheme)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a steady 5 µs window of frames allocates %v times", scheme, allocs)
+		}
+		m.Mem.Release()
+	}
+}
+
+// TestVictimCorruptionAllocatesNothing: the sentinel audit reads each
+// private page into one reused buffer, and still counts a corrupted
+// byte.
+func TestVictimCorruptionAllocatesNothing(t *testing.T) {
+	m, err := NewMachine(Config{Scheme: SchemeCapability, Tenants: 64, WindowMs: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run()
+	if n := testing.AllocsPerRun(10, func() { m.VictimCorruption() }); n != 0 {
+		t.Errorf("VictimCorruption allocates %v times", n)
+	}
+	if tenants, bytes := m.VictimCorruption(); tenants != 0 || bytes != 0 {
+		t.Fatalf("an idle machine audits %d corrupted bytes in %d tenants", bytes, tenants)
+	}
+	victim := m.benign[5]
+	if err := m.Mem.Write(victim.Private.Addr+100, []byte{^campaign.SentinelByte(victim.ID), 0}); err != nil {
+		t.Fatal(err)
+	}
+	if tenants, bytes := m.VictimCorruption(); tenants != 1 || bytes != 2 {
+		t.Errorf("two overwritten bytes audit as %d bytes in %d tenants, want 2 in 1", bytes, tenants)
+	}
+	m.Mem.Release()
 }
